@@ -326,7 +326,10 @@ func (c *loadClient) decide(id string, frames []serve.Frame) (serve.DecideRespon
 		return dr, len(c.scratch), 0, err
 	case "delta":
 		sent := 0
-		if c.prev != nil && len(c.prev) == len(frames) {
+		// A delta is only valid one step after the cached base: an env
+		// reset or a coasted sensor warm-up breaks the chain, and the
+		// server would otherwise splice the frame onto a stale snapshot.
+		if continues(c.prev, frames) {
 			c.scratch = serve.AppendDelta(c.scratch[:0], []byte(c.session), serve.HashFrames(c.prev), frames[len(frames)-1:])
 			sent += len(c.scratch)
 			dr, err := c.post(id, serve.WireContentType, c.scratch)
@@ -337,8 +340,8 @@ func (c *loadClient) decide(id string, frames []serve.Frame) (serve.DecideRespon
 			if err != errResync {
 				return dr, sent, 0, err
 			}
-			// Base diverged (eviction, restart, or an episode reset broke
-			// the one-step chain): fall through to a full resend.
+			// Base evicted or server restarted: fall through to a full
+			// resend.
 		}
 		c.scratch = serve.AppendFull(c.scratch[:0], []byte(c.session), frames)
 		sent += len(c.scratch)
@@ -450,7 +453,7 @@ func captureObservations(cfg head.EnvConfig, seed int64, n int) ([]serve.Observa
 		o := serve.Snapshot(env.SensorHistory())
 		if o.Validate(cfg.Sensor.Z) == nil {
 			if k := len(pool); k > 0 &&
-				!reflect.DeepEqual(pool[k-1].Frames[1:], o.Frames[:len(o.Frames)-1]) {
+				!continues(pool[k-1].Frames, o.Frames) {
 				// Not one step after the previous capture: restart the chain.
 				pool = pool[:0]
 			}
@@ -463,10 +466,19 @@ func captureObservations(cfg head.EnvConfig, seed int64, n int) ([]serve.Observa
 	return pool, nil
 }
 
+// continues reports whether frames is exactly one sensor step after prev:
+// the same history length, shifted by one frame. Only then does a
+// newest-frame delta against prev reconstruct frames.
+func continues(prev, frames []serve.Frame) bool {
+	return len(frames) > 0 && len(prev) == len(frames) &&
+		reflect.DeepEqual(prev[1:], frames[:len(frames)-1])
+}
+
 // runReplaySession fires pool observations back-to-back with no simulation
 // between requests, measuring the service's capacity rather than the
 // closed loop's. In delta mode the session walks the pool chain in order —
-// full snapshot at each wrap, newest-frame deltas in between.
+// full snapshot at each wrap, where the chain breaks, and newest-frame
+// deltas in between.
 func runReplaySession(lc *loadClient, pool []serve.Observation, offset int, keepRecords bool,
 	recording, stop *atomic.Bool, latHist *obs.Histogram) sessionResult {
 	var res sessionResult
@@ -478,11 +490,6 @@ func runReplaySession(lc *loadClient, pool []serve.Observation, offset int, keep
 	}
 	for i := 0; !stop.Load(); i++ {
 		idx := (start + i) % len(pool)
-		if lc.wire == "delta" && idx == 0 {
-			// Deliberate re-base at every wrap: the chain relation does not
-			// hold from the last pool entry back to the first.
-			lc.prev = nil
-		}
 		id := fmt.Sprintf("ld-%03d-%06d", offset, i)
 		t0 := time.Now()
 		dr, sent, resyncs, err := lc.decide(id, pool[idx].Frames)

@@ -71,7 +71,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		printDecisions(ds)
+		span.SummarizeDecisions(ds).Report(os.Stdout)
 	}
 	if *check && !ok {
 		os.Exit(1)
@@ -228,35 +228,6 @@ func printEpisodes(a *span.Analysis, top int) {
 			lane, e.Ep, us(e.Dur), e.Steps, us(e.MaxStep), us(e.TopDur), e.TopPhase)
 	}
 	fmt.Println()
-}
-
-func printDecisions(ds []span.Decision) {
-	s := span.SummarizeDecisions(ds)
-	fmt.Printf("Decision summary (%d records)\n", s.N)
-	if s.N == 0 {
-		return
-	}
-	fmt.Print("  maneuver mix: ")
-	names := make([]string, 0, len(s.Behaviors))
-	for b := range s.Behaviors {
-		names = append(names, b)
-	}
-	sort.Strings(names)
-	for i, b := range names {
-		if i > 0 {
-			fmt.Print("  ")
-		}
-		fmt.Printf("%s %.1f%%", b, 100*float64(s.Behaviors[b])/float64(s.N))
-	}
-	fmt.Println()
-	fmt.Printf("  reward %.4f = safety %.4f + efficiency %.4f + comfort %.4f + impact %.4f (per-term means)\n",
-		s.MeanReward, s.MeanSafety, s.MeanEff, s.MeanComf, s.MeanImpact)
-	if s.MinTTC > 0 {
-		fmt.Printf("  min TTC %.2fs\n", s.MinTTC)
-	}
-	if s.AttnRows > 0 {
-		fmt.Printf("  attention entropy %.3f nats over %d rows\n", s.MeanAttnEntropy, s.AttnRows)
-	}
 }
 
 // us renders a microsecond quantity with an adaptive unit.

@@ -1,18 +1,19 @@
 // Command headviz drives one episode with a chosen controller and renders
-// it: either as an ASCII strip animation of the road around the autonomous
-// vehicle, or as a CSV/JSONL trace export for offline analysis.
+// it as an ASCII strip animation of the road around the autonomous
+// vehicle, then summarizes the episode's per-step decision records — the
+// same span.Decision stream the flight recorder writes to decisions.jsonl.
 //
 // Usage:
 //
 //	headviz [-controller idm|acc|tpbts|head] [-frames N] [-every N]
-//	        [-csv file] [-jsonl file] [-seed N]
-//	headviz -replay trace.jsonl   # summarize a previously exported trace
+//	        [-jsonl file] [-seed N]
+//	headviz -replay decisions.jsonl   # summarize a recorded decision stream
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"math/rand"
 	"os"
@@ -20,9 +21,9 @@ import (
 
 	"head/internal/experiments"
 	"head/internal/head"
+	"head/internal/obs/span"
 	"head/internal/policy"
 	"head/internal/rl"
-	"head/internal/trace"
 	"head/internal/world"
 )
 
@@ -33,15 +34,18 @@ func main() {
 		controller = flag.String("controller", "idm", "controller: idm, acc, tpbts, or head (trains a small agent first)")
 		frames     = flag.Int("frames", 12, "number of rendered frames")
 		every      = flag.Int("every", 5, "render every Nth step")
-		csvPath    = flag.String("csv", "", "write the full trace as CSV to this file")
-		jsonlPath  = flag.String("jsonl", "", "write the full trace as JSON Lines to this file")
+		jsonlPath  = flag.String("jsonl", "", "write the episode's decision records as JSON Lines to this file")
 		seed       = flag.Int64("seed", 7, "random seed")
-		replay     = flag.String("replay", "", "summarize a JSONL trace exported earlier with -jsonl instead of driving an episode")
+		replay     = flag.String("replay", "", "summarize a decision stream (headviz -jsonl, or decisions.jsonl from -trace-out) instead of driving an episode")
 	)
 	flag.Parse()
 
 	if *replay != "" {
-		if err := replayTrace(*replay); err != nil {
+		data, err := os.ReadFile(*replay)
+		if err != nil {
+			log.Fatal(err)
+		}
+		if err := summarize(data); err != nil {
 			log.Fatal(err)
 		}
 		return
@@ -58,66 +62,47 @@ func main() {
 		log.Fatal(err)
 	}
 
-	rec := trace.NewRecorder()
+	// The episode runs on a traced lane, as eval's episodes do, so every
+	// step emits its span.Decision record into the buffer.
+	var decisions bytes.Buffer
+	lane := span.New(span.Config{Decisions: &decisions}).Lane("headviz")
+	env.SetTrace(lane)
+	er := lane.StartEpisode(0)
 	env.Reset()
 	ctrl.Reset()
 	rendered := 0
-	for !env.Done() {
+	for step := 0; !env.Done(); step++ {
+		sr := lane.StartStep(step)
 		m := ctrl.Decide(env)
 		out := env.StepManeuver(m)
-		rec.Record(env, m, out)
+		sr.End()
 		if rendered < *frames && env.Steps()%*every == 0 {
 			renderFrame(env, m, out)
 			rendered++
 		}
 	}
-	tr := rec.Trace()
+	er.End()
 	fmt.Println()
-	printSummary(tr)
-
-	if *csvPath != "" {
-		if err := writeFile(*csvPath, tr.WriteCSV); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Println("trace written to", *csvPath)
+	if err := summarize(decisions.Bytes()); err != nil {
+		log.Fatal(err)
 	}
+
 	if *jsonlPath != "" {
-		if err := writeFile(*jsonlPath, tr.WriteJSONL); err != nil {
+		if err := os.WriteFile(*jsonlPath, decisions.Bytes(), 0o644); err != nil {
 			log.Fatal(err)
 		}
-		fmt.Println("trace written to", *jsonlPath)
+		fmt.Println("decisions written to", *jsonlPath)
 	}
 }
 
-// printSummary renders the episode summary line plus the episode-level
-// outcome flags (in replay mode these come from the trace's episode_end
-// footer, not from a live environment).
-func printSummary(tr trace.Trace) {
-	s := tr.Summarize()
-	fmt.Printf("episode: %d steps (%.1fs), mean v %.1f m/s, %d lane changes, total reward %.1f",
-		s.Steps, s.Duration, s.MeanV, s.LaneChanges, s.TotalReward)
-	switch {
-	case tr.Collision:
-		fmt.Println(" — COLLISION")
-	case tr.Finished:
-		fmt.Println(" — reached destination")
-	default:
-		fmt.Println(" — step budget exhausted")
-	}
-}
-
-// replayTrace summarizes a JSONL trace exported with -jsonl.
-func replayTrace(path string) error {
-	f, err := os.Open(path)
+// summarize prints the summary of a JSON Lines decision stream; live runs
+// and -replay share it, so replaying a -jsonl export prints the same text.
+func summarize(data []byte) error {
+	ds, err := span.ReadDecisions(bytes.NewReader(data))
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	tr, err := trace.ReadJSONL(f)
-	if err != nil {
-		return err
-	}
-	printSummary(tr)
+	span.SummarizeDecisions(ds).Report(os.Stdout)
 	return nil
 }
 
@@ -175,16 +160,4 @@ func renderFrame(env *head.Env, m world.Maneuver, out head.StepOutcome) {
 		fmt.Printf("  lane %d |%s|\n", l+1, row)
 	}
 	fmt.Println()
-}
-
-func writeFile(path string, write func(w io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

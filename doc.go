@@ -11,7 +11,7 @@
 //   - cmd/rlbench — Tables V & VI (PAMDP solver break-down)
 //   - cmd/rewardgrid — Table VII (reward coefficient search)
 //   - cmd/headtrain — train + checkpoint LST-GAT and BP-DQN
-//   - cmd/headviz — ASCII episode viewer and trace exporter
+//   - cmd/headviz — ASCII episode viewer and decision-stream summary
 //   - examples/ — quickstart, occlusion, impactstudy, prediction, trafficwave
 //
 // The benchmark harness in bench_test.go regenerates every table:

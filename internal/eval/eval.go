@@ -318,7 +318,7 @@ func reduce(method string, w world.Config, parts []episodeTotals) Metrics {
 
 // RunEpisodes evaluates a controller over the given number of test
 // episodes on env (which is Reset per episode). Episodes run serially on
-// the shared controller/environment pair; use RunEpisodesParallel when
+// the shared controller/environment pair; use RunEpisodesBatched when
 // independent per-episode replicas are available.
 func RunEpisodes(ctrl head.Controller, env *head.Env, episodes int) Metrics {
 	parts := make([]episodeTotals, 0, episodes)
@@ -328,27 +328,14 @@ func RunEpisodes(ctrl head.Controller, env *head.Env, episodes int) Metrics {
 	return reduce(ctrl.Name(), env.Cfg.Traffic.World, parts)
 }
 
-// RunEpisodesParallel evaluates episodes concurrently on at most workers
-// goroutines (0 means all cores). setup(ep) must return a controller and
-// environment owned by that episode alone — network layers cache forward
-// activations, so trained models must be cloned per episode, and the
-// environment's RNG must be derived from the episode index (see
-// parallel.Rand). Per-episode results are reduced in episode order, so the
-// returned Metrics are bit-identical for every worker count.
-func RunEpisodesParallel(episodes, workers int, setup func(episode int) (head.Controller, *head.Env)) Metrics {
-	return RunEpisodesObserved(episodes, workers, nil, nil, setup)
-}
-
-// RunEpisodesObserved is RunEpisodesParallel with live observability:
-// per-step TTC and rear-deceleration histograms plus episode counters
-// stream into reg, and episode/step/phase spans plus decision records
-// onto a fresh per-episode lane of tr, while the evaluation runs (either
-// may be nil). Both sinks are write-only, so the returned Metrics stay
-// bit-identical for every worker count with or without them.
-func RunEpisodesObserved(episodes, workers int, reg *obs.Registry, tr *span.Tracer, setup func(episode int) (head.Controller, *head.Env)) Metrics {
-	return runEpisodesObserved(episodes, workers, reg, tr, nil, setup)
-}
-
+// runEpisodesObserved evaluates episodes concurrently on at most workers
+// goroutines, one serial episode per setup pair (the RunEpisodesBatched
+// contract), with live observability: per-step TTC and rear-deceleration
+// histograms plus episode counters stream into reg, episode/step/phase
+// spans plus decision records onto a fresh per-episode lane of tr, and
+// decision-quality samples into rec (any may be nil). The sinks are
+// write-only, so the returned Metrics stay bit-identical for every worker
+// count with or without them.
 func runEpisodesObserved(episodes, workers int, reg *obs.Registry, tr *span.Tracer, rec *quality.Recorder, setup func(episode int) (head.Controller, *head.Env)) Metrics {
 	if episodes <= 0 {
 		return Metrics{}
@@ -392,19 +379,23 @@ func RunEpisodesProfiled(episodes, batchEnvs, workers int, reg *obs.Registry, tr
 	return runEpisodesObserved(episodes, workers, reg, tr, rec, setup)
 }
 
-// RunEpisodesBatched is RunEpisodesObserved on the lock-step runner: the
-// episodes are processed in groups of batchEnvs whose members step
-// together, so the LST-GAT forward and the action selection cross the
-// networks once per lock-step iteration for the whole group. Groups still
-// fan out over workers. setup keeps the RunEpisodesParallel contract — a
-// fresh controller/environment pair per episode, with identical (cloned)
-// policies, because the group's first controller decides for every member.
-// Per-episode results reduce in episode order, and the batched forwards
-// are bit-identical to serial, so the returned Metrics are byte-identical
-// to RunEpisodesObserved for every batch width and worker count.
+// RunEpisodesBatched evaluates episodes concurrently on at most workers
+// goroutines (0 means all cores), in groups of batchEnvs whose members
+// step together on the lock-step runner, so the LST-GAT forward and the
+// action selection cross the networks once per lock-step iteration for
+// the whole group; batchEnvs ≤ 1 runs every episode serially on its own.
+// setup(ep) must return a controller and environment owned by that
+// episode alone — network layers cache forward activations, so trained
+// models must be cloned per episode (the group's first controller decides
+// for every member), and the environment's RNG must be derived from the
+// episode index (see parallel.Rand). reg and tr receive live metrics,
+// spans and decision records, as in runEpisodesObserved. Per-episode
+// results reduce in episode order, and the batched forwards are
+// bit-identical to serial, so the returned Metrics are byte-identical for
+// every batch width and worker count.
 func RunEpisodesBatched(episodes, batchEnvs, workers int, reg *obs.Registry, tr *span.Tracer, setup func(episode int) (head.Controller, *head.Env)) Metrics {
 	if batchEnvs <= 1 {
-		return RunEpisodesObserved(episodes, workers, reg, tr, setup)
+		return runEpisodesObserved(episodes, workers, reg, tr, nil, setup)
 	}
 	if episodes <= 0 {
 		return Metrics{}

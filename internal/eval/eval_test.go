@@ -77,7 +77,7 @@ func TestSearchWeightsFindsPeak(t *testing.T) {
 	axes := []Axis{{Name: "w4", Min: 0, Max: 0.5, Step: 0.1}}
 	// Score peaks at w4 = 0.2.
 	score := func(w reward.Weights) float64 { return -math.Abs(w.Impact - 0.2) }
-	res, err := SearchWeights(base, axes, score)
+	res, err := SearchWeightsParallel(base, axes, 1, score)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestSearchWeightsFindsPeak(t *testing.T) {
 }
 
 func TestSearchWeightsAllAxes(t *testing.T) {
-	res, err := SearchWeights(reward.DefaultWeights(), PaperAxes(), func(w reward.Weights) float64 {
+	res, err := SearchWeightsParallel(reward.DefaultWeights(), PaperAxes(), 1, func(w reward.Weights) float64 {
 		// Synthetic objective peaking at the paper's optimum.
 		return -math.Abs(w.Safety-0.9) - math.Abs(w.Efficiency-0.8) -
 			math.Abs(w.Comfort-0.6) - math.Abs(w.Impact-0.2)
@@ -107,18 +107,18 @@ func TestSearchWeightsAllAxes(t *testing.T) {
 }
 
 func TestSearchWeightsErrors(t *testing.T) {
-	if _, err := SearchWeights(reward.DefaultWeights(),
-		[]Axis{{Name: "w9", Min: 0, Max: 1, Step: 0.5}},
+	if _, err := SearchWeightsParallel(reward.DefaultWeights(),
+		[]Axis{{Name: "w9", Min: 0, Max: 1, Step: 0.5}}, 1,
 		func(reward.Weights) float64 { return 0 }); err == nil {
 		t.Error("expected error for unknown coefficient")
 	}
-	if _, err := SearchWeights(reward.DefaultWeights(),
-		[]Axis{{Name: "w1", Min: 0, Max: 1, Step: 0}},
+	if _, err := SearchWeightsParallel(reward.DefaultWeights(),
+		[]Axis{{Name: "w1", Min: 0, Max: 1, Step: 0}}, 1,
 		func(reward.Weights) float64 { return 0 }); err == nil {
 		t.Error("expected error for zero step")
 	}
-	if _, err := SearchWeights(reward.DefaultWeights(),
-		[]Axis{{Name: "w1", Min: 1, Max: 0, Step: 0.1}},
+	if _, err := SearchWeightsParallel(reward.DefaultWeights(),
+		[]Axis{{Name: "w1", Min: 1, Max: 0, Step: 0.1}}, 1,
 		func(reward.Weights) float64 { return 0 }); err == nil {
 		t.Error("expected error for inverted range")
 	}
@@ -197,7 +197,7 @@ func TestRunEpisodesBatchedBitIdentity(t *testing.T) {
 	const episodes = 7
 	for _, usePred := range []bool{true, false} {
 		setup := batchedSetup(t, usePred)
-		want := RunEpisodesObserved(episodes, 1, nil, nil, setup)
+		want := RunEpisodesBatched(episodes, 1, 1, nil, nil, setup)
 		for _, be := range []int{2, 3, 8} {
 			got := RunEpisodesBatched(episodes, be, 1, nil, nil, setup)
 			if got != want {
@@ -216,9 +216,9 @@ func TestRunEpisodesBatchedBitIdentity(t *testing.T) {
 // serial runner (shared code, not a parallel reimplementation).
 func TestRunEpisodesBatchedDelegates(t *testing.T) {
 	setup := batchedSetup(t, false)
-	a := RunEpisodesObserved(4, 2, nil, nil, setup)
+	a := runEpisodesObserved(4, 2, nil, nil, nil, setup)
 	b := RunEpisodesBatched(4, 1, 2, nil, nil, setup)
 	if a != b {
-		t.Errorf("batchEnvs=1 diverged from RunEpisodesObserved:\n%+v\n%+v", b, a)
+		t.Errorf("batchEnvs=1 diverged from runEpisodesObserved:\n%+v\n%+v", b, a)
 	}
 }

@@ -50,19 +50,14 @@ type AxisResult struct {
 	Best   float64 // the value with the highest score
 }
 
-// SearchWeights performs the coordinate-wise grid search of Table VII:
-// each axis is swept with the other coefficients held at the base vector,
-// scored by the provided function (typically: train a small agent under
-// those weights and return its average test reward). The paper's full
-// grid is the cross product; the coordinate sweep reproduces its reported
-// per-coefficient table at a fraction of the cost.
-func SearchWeights(base reward.Weights, axes []Axis, score func(reward.Weights) float64) ([]AxisResult, error) {
-	return SearchWeightsParallel(base, axes, 1, score)
-}
-
-// SearchWeightsParallel is SearchWeights with the grid points of every
-// axis evaluated concurrently on at most workers goroutines (0 means all
-// cores). The score function must therefore be safe to call from multiple
+// SearchWeightsParallel performs the coordinate-wise grid search of Table
+// VII: each axis is swept with the other coefficients held at the base
+// vector, scored by the provided function (typically: train a small agent
+// under those weights and return its average test reward). The paper's
+// full grid is the cross product; the coordinate sweep reproduces its
+// reported per-coefficient table at a fraction of the cost. The grid
+// points of every axis are evaluated concurrently on at most workers
+// goroutines (0 means all cores). The score function must therefore be safe to call from multiple
 // goroutines — every call should build its own models and environments
 // rather than closing over shared mutable state. Points are scored
 // independently and reduced in grid order, so the result is identical for

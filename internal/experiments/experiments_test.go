@@ -117,7 +117,7 @@ func TestTableVVI(t *testing.T) {
 func TestTableVIITinyAxis(t *testing.T) {
 	// Sweep only one tiny axis to keep the test fast: monkey with the
 	// scale and use the full API through TableVII's internals via
-	// eval.SearchWeights — here we just check TableVII end to end with a
+	// eval.SearchWeightsParallel — here we just check TableVII end to end with a
 	// micro scale and the paper axes trimmed by construction cost.
 	s := micro()
 	s.TrainEpisodes = 1

@@ -35,7 +35,8 @@ type golden struct {
 }
 
 // goldenState runs the pinned workload: one Table I at scale s and one
-// predictor+agent training run checkpointed through Framework.Save.
+// predictor+agent training run whose networks are checkpointed with
+// nn.Save, the predictor first.
 func goldenState(t *testing.T, s Scale) (tableI, checkpoint string) {
 	t.Helper()
 	rows, err := TableI(s)

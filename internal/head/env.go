@@ -409,6 +409,7 @@ func (e *Env) StepManeuver(m world.Maneuver) StepOutcome {
 		Safety: out.Terms.Safety, Eff: out.Terms.Efficiency,
 		Comfort: out.Terms.Comfort, Impact: out.Terms.Impact,
 		TTC:       out.TTC,
+		Collision: out.Collision, Finished: out.Finished,
 		Attention: attn,
 	})
 	return out

@@ -1,23 +1,19 @@
 package quality
 
 import (
-	"sync"
 	"time"
 
 	"head/internal/obs"
 )
 
 // MonitorConfig parameterizes the online drift monitor. The zero value is
-// usable: a 60-second window of 6 sub-buckets, warn at PSI 0.25 and page
-// at twice that — the standard PSI reading (below 0.1 stable, 0.1–0.25
-// moderate shift, above 0.25 major shift).
+// usable: a 60-second window of obs.WindowBuckets sub-buckets, warn at
+// PSI 0.25 and page at twice that — the standard PSI reading (below 0.1
+// stable, 0.1–0.25 moderate shift, above 0.25 major shift).
 type MonitorConfig struct {
 	// Window is the rolling comparison window (default 60s); decisions
 	// older than one window no longer influence the PSI scores.
 	Window time.Duration
-	// Buckets is the sub-window ring granularity (default 6), the same
-	// rotation scheme the SLO engine uses.
-	Buckets int
 	// WarnPSI and PagePSI are the per-metric drift thresholds (defaults
 	// 0.25 and 2×WarnPSI). The worst metric sets the overall status.
 	WarnPSI float64
@@ -30,42 +26,27 @@ func (c MonitorConfig) withDefaults() MonitorConfig {
 	if c.Window <= 0 {
 		c.Window = time.Minute
 	}
-	if c.Buckets <= 0 {
-		c.Buckets = 6
-	}
 	if c.WarnPSI <= 0 {
 		c.WarnPSI = 0.25
 	}
 	if c.PagePSI <= 0 {
 		c.PagePSI = 2 * c.WarnPSI
 	}
-	if c.Clock == nil {
-		c.Clock = time.Now
-	}
 	return c
 }
 
-// qualityBucket is one sub-window of the rotation ring: per-metric
-// histograms over the baseline's bins plus the absolute sub-window index
-// it holds (a stale seq means the bucket aged out and is reset on reuse).
+// qualityBucket is one sub-window of the rolling window: per-metric
+// histograms over the baseline's bins.
 type qualityBucket struct {
-	seq     int64
 	metrics map[string]*Hist
 	samples int64
 }
 
-func (b *qualityBucket) reset(seq int64) {
-	b.seq = seq
-	b.samples = 0
-	for _, h := range b.metrics {
-		h.zero()
-	}
-}
-
 // Monitor scores the live decision stream against a behavioral baseline:
 // every served decision folds into the current sub-window's histograms
-// (cloned bins from the baseline, so the comparison can never mismatch),
-// and Status merges the live window and computes PSI/KL per metric.
+// in a rolling obs.Window (cloned bins from the baseline, so the
+// comparison can never mismatch), and Status merges the live window and
+// computes PSI/KL per metric.
 //
 // Strictly out of band and safe for concurrent use; a nil *Monitor
 // disables every method.
@@ -75,10 +56,7 @@ type Monitor struct {
 	// tracked is the ordered serve-side metric list present in the
 	// baseline — ordering fixes the Status row order and the gauge set.
 	tracked []string
-	epoch   time.Time
-
-	mu      sync.Mutex
-	buckets []qualityBucket
+	win     *obs.Window[qualityBucket]
 }
 
 // NewMonitor builds a drift monitor over a loaded baseline. Baselines
@@ -87,20 +65,24 @@ type Monitor struct {
 // that reports zero tracked metrics rather than failing.
 func NewMonitor(base *Baseline, cfg MonitorConfig) *Monitor {
 	cfg = cfg.withDefaults()
-	m := &Monitor{cfg: cfg, base: base, epoch: cfg.Clock()}
+	m := &Monitor{cfg: cfg, base: base}
 	for _, name := range ServeMetrics {
 		if h := base.Metrics[name]; h != nil {
 			m.tracked = append(m.tracked, name)
 		}
 	}
-	m.buckets = make([]qualityBucket, cfg.Buckets)
-	for i := range m.buckets {
-		mm := make(map[string]*Hist, len(m.tracked))
-		for _, name := range m.tracked {
-			mm[name] = NewHist(base.Metrics[name].Bounds)
+	m.win = obs.NewWindow(obs.WindowBuckets, cfg.Window/obs.WindowBuckets, cfg.Clock, func(b *qualityBucket) {
+		b.samples = 0
+		if b.metrics == nil {
+			b.metrics = make(map[string]*Hist, len(m.tracked))
+			for _, name := range m.tracked {
+				b.metrics[name] = NewHist(base.Metrics[name].Bounds)
+			}
 		}
-		m.buckets[i] = qualityBucket{seq: -1, metrics: mm}
-	}
+		for _, h := range b.metrics {
+			h.zero()
+		}
+	})
 	return m
 }
 
@@ -113,31 +95,15 @@ func (m *Monitor) Baseline() *Baseline {
 	return m.base
 }
 
-// seqAt maps an instant onto its absolute sub-window index.
-func (m *Monitor) seqAt(now time.Time) int64 {
-	return int64(now.Sub(m.epoch) / (m.cfg.Window / time.Duration(m.cfg.Buckets)))
-}
-
-// slot returns the ring bucket for seq, resetting stale holders. Callers
-// hold mu.
-func (m *Monitor) slot(seq int64) *qualityBucket {
-	b := &m.buckets[seq%int64(len(m.buckets))]
-	if b.seq != seq {
-		b.reset(seq)
-	}
-	return b
-}
-
 // Observe folds one served decision into the current sub-window.
 func (m *Monitor) Observe(s Sample) {
 	if m == nil {
 		return
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	b := m.slot(m.seqAt(m.cfg.Clock()))
-	b.samples++
-	observeSample(b.metrics, s)
+	m.win.Observe(func(b *qualityBucket) {
+		b.samples++
+		observeSample(b.metrics, s)
+	})
 }
 
 // MetricStatus is one metric's windowed drift evaluation.
@@ -175,24 +141,17 @@ func (m *Monitor) Status() Status {
 	if m == nil {
 		return Status{Status: "ok", OK: true}
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	now := m.seqAt(m.cfg.Clock())
 	merged := make(map[string]*Hist, len(m.tracked))
 	for _, name := range m.tracked {
 		merged[name] = NewHist(m.base.Metrics[name].Bounds)
 	}
 	var samples int64
-	for i := range m.buckets {
-		b := &m.buckets[i]
-		if b.seq < 0 || b.seq <= now-int64(len(m.buckets)) {
-			continue // stale: aged out of the window
-		}
+	m.win.Each(func(b *qualityBucket) {
 		samples += b.samples
 		for name, h := range b.metrics {
 			h.addInto(merged[name])
 		}
-	}
+	})
 	st := Status{
 		BaselineTool:  m.base.Tool,
 		BaselineScale: m.base.Scale,

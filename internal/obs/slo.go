@@ -1,21 +1,14 @@
 package obs
 
-import (
-	"sync"
-	"time"
-)
+import "time"
 
 // SLOConfig parameterizes a rolling-window SLO engine. The zero value is
-// usable: a 60-second window of 6 sub-buckets with no objectives (the
-// engine then only reports observed latency/error rates).
+// usable: a 60-second window of WindowBuckets sub-buckets with no
+// objectives (the engine then only reports observed latency/error rates).
 type SLOConfig struct {
 	// Window is the rolling evaluation window (default 60s). Observations
 	// older than one window no longer influence the status.
 	Window time.Duration
-	// Buckets is the sub-window ring granularity (default 6): the window
-	// rotates in Window/Buckets steps, so the effective window length
-	// wobbles by at most one sub-bucket.
-	Buckets int
 	// LatencyBounds are the histogram bucket upper edges, in seconds,
 	// used for the p50/p90/p99 estimates (default ServeLatencyBuckets).
 	LatencyBounds []float64
@@ -43,23 +36,14 @@ func (c SLOConfig) withDefaults() SLOConfig {
 	if c.Window <= 0 {
 		c.Window = time.Minute
 	}
-	if c.Buckets <= 0 {
-		c.Buckets = 6
-	}
 	if len(c.LatencyBounds) == 0 {
 		c.LatencyBounds = ServeLatencyBuckets
-	}
-	if c.Clock == nil {
-		c.Clock = time.Now
 	}
 	return c
 }
 
-// sloBucket is one sub-window of the rotation ring. seq is the absolute
-// sub-window index it currently holds; a slot whose seq is stale is reset
-// before reuse, which is what ages observations out of the window.
+// sloBucket is one sub-window of the rolling window.
 type sloBucket struct {
-	seq     int64
 	total   int64
 	errors  int64
 	overP50 int64
@@ -68,17 +52,8 @@ type sloBucket struct {
 	hist    []int64 // len(bounds)+1, last is overflow
 }
 
-func (b *sloBucket) reset(seq int64) {
-	b.seq = seq
-	b.total, b.errors, b.overP50, b.overP99 = 0, 0, 0, 0
-	b.sum = 0
-	for i := range b.hist {
-		b.hist[i] = 0
-	}
-}
-
 // SLO is a rolling-window service-level-objective engine: it folds every
-// request's latency and error outcome into a ring of sub-window buckets
+// request's latency and error outcome into a rolling Window
 // and evaluates latency-percentile and error-rate objectives with
 // burn-rate semantics (burn rate 1.0 = consuming the error budget exactly
 // as fast as the objective allows; >1 = the objective is being violated).
@@ -87,36 +62,23 @@ func (b *sloBucket) reset(seq int64) {
 // records feeds back into serving decisions — and safe for concurrent
 // use. A nil *SLO disables all methods.
 type SLO struct {
-	cfg   SLOConfig
-	epoch time.Time
-
-	mu      sync.Mutex
-	buckets []sloBucket
+	cfg SLOConfig
+	win *Window[sloBucket]
 }
 
 // NewSLO returns an SLO engine with the given configuration.
 func NewSLO(cfg SLOConfig) *SLO {
 	cfg = cfg.withDefaults()
-	s := &SLO{cfg: cfg, epoch: cfg.Clock(), buckets: make([]sloBucket, cfg.Buckets)}
-	for i := range s.buckets {
-		s.buckets[i] = sloBucket{seq: -1, hist: make([]int64, len(cfg.LatencyBounds)+1)}
-	}
-	return s
-}
-
-// seqAt maps an instant onto its absolute sub-window index.
-func (s *SLO) seqAt(now time.Time) int64 {
-	return int64(now.Sub(s.epoch) / (s.cfg.Window / time.Duration(s.cfg.Buckets)))
-}
-
-// slot returns the ring bucket for seq, resetting it when it still holds
-// an older sub-window. Callers hold mu.
-func (s *SLO) slot(seq int64) *sloBucket {
-	b := &s.buckets[seq%int64(len(s.buckets))]
-	if b.seq != seq {
-		b.reset(seq)
-	}
-	return b
+	nHist := len(cfg.LatencyBounds) + 1
+	win := NewWindow(WindowBuckets, cfg.Window/WindowBuckets, cfg.Clock, func(b *sloBucket) {
+		hist := b.hist
+		if hist == nil {
+			hist = make([]int64, nHist)
+		}
+		clear(hist)
+		*b = sloBucket{hist: hist}
+	})
+	return &SLO{cfg: cfg, win: win}
 }
 
 // Observe folds one completed request into the current sub-window.
@@ -126,27 +88,28 @@ func (s *SLO) Observe(latency time.Duration, isErr bool) {
 	}
 	lat := latency.Seconds()
 	latMs := lat * 1e3
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	b := s.slot(s.seqAt(s.cfg.Clock()))
-	b.total++
-	b.sum += lat
-	if isErr {
-		b.errors++
-	}
-	if s.cfg.P50TargetMs > 0 && latMs > s.cfg.P50TargetMs {
-		b.overP50++
-	}
-	if s.cfg.P99TargetMs > 0 && latMs > s.cfg.P99TargetMs {
-		b.overP99++
-	}
+	overP50 := s.cfg.P50TargetMs > 0 && latMs > s.cfg.P50TargetMs
+	overP99 := s.cfg.P99TargetMs > 0 && latMs > s.cfg.P99TargetMs
 	// First bound >= lat, linear scan: the bounds list is short and the
 	// scan is branch-predictable, so this stays cheap on the reply path.
 	i := 0
 	for i < len(s.cfg.LatencyBounds) && lat > s.cfg.LatencyBounds[i] {
 		i++
 	}
-	b.hist[i]++
+	s.win.Observe(func(b *sloBucket) {
+		b.total++
+		b.sum += lat
+		if isErr {
+			b.errors++
+		}
+		if overP50 {
+			b.overP50++
+		}
+		if overP99 {
+			b.overP99++
+		}
+		b.hist[i]++
+	})
 }
 
 // Objective is one evaluated SLO: the configured target, the fraction of
@@ -182,17 +145,10 @@ func (s *SLO) Status() SLOStatus {
 	if s == nil {
 		return SLOStatus{OK: true}
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	now := s.seqAt(s.cfg.Clock())
 	var total, errors, overP50, overP99 int64
 	var sum float64
 	merged := make([]int64, len(s.cfg.LatencyBounds)+1)
-	for i := range s.buckets {
-		b := &s.buckets[i]
-		if b.seq < 0 || b.seq <= now-int64(len(s.buckets)) {
-			continue // stale: aged out of the window
-		}
+	s.win.Each(func(b *sloBucket) {
 		total += b.total
 		errors += b.errors
 		overP50 += b.overP50
@@ -201,7 +157,7 @@ func (s *SLO) Status() SLOStatus {
 		for j, c := range b.hist {
 			merged[j] += c
 		}
-	}
+	})
 	st := SLOStatus{
 		WindowS: s.cfg.Window.Seconds(),
 		Total:   total,

@@ -28,7 +28,7 @@ func (c *fakeSLOClock) Advance(d time.Duration) {
 func TestSLOObjectives(t *testing.T) {
 	clock := &fakeSLOClock{now: time.Unix(1000, 0)}
 	s := NewSLO(SLOConfig{
-		Window: time.Minute, Buckets: 6,
+		Window:      time.Minute,
 		P50TargetMs: 10, P99TargetMs: 50, ErrorBudget: 0.01,
 		Clock: clock.Now,
 	})
@@ -89,7 +89,7 @@ func TestSLOObjectives(t *testing.T) {
 
 func TestSLOWindowRotation(t *testing.T) {
 	clock := &fakeSLOClock{now: time.Unix(2000, 0)}
-	s := NewSLO(SLOConfig{Window: 60 * time.Second, Buckets: 6, ErrorBudget: 0.5, Clock: clock.Now})
+	s := NewSLO(SLOConfig{Window: 60 * time.Second, ErrorBudget: 0.5, Clock: clock.Now})
 
 	s.Observe(time.Millisecond, true)
 	s.Observe(time.Millisecond, true)
@@ -157,7 +157,7 @@ func TestSLOBind(t *testing.T) {
 // TestSLOConcurrent hammers Observe/Status from many goroutines; run
 // under -race this is the engine's thread-safety gate.
 func TestSLOConcurrent(t *testing.T) {
-	s := NewSLO(SLOConfig{Window: 50 * time.Millisecond, Buckets: 5, P99TargetMs: 1, ErrorBudget: 0.1})
+	s := NewSLO(SLOConfig{Window: 50 * time.Millisecond, P99TargetMs: 1, ErrorBudget: 0.1})
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

@@ -277,8 +277,9 @@ func (a *Analysis) Episodes() []EpisodeStat {
 
 // DecisionSummary aggregates a decision-record stream: the maneuver mix,
 // the mean contribution of each reward term, the worst time-to-collision,
-// and the mean Shannon entropy of the LST-GAT attention rows (low entropy
-// = the model focused on few neighbors; high = attention spread evenly).
+// the mean Shannon entropy of the LST-GAT attention rows (low entropy =
+// the model focused on few neighbors; high = attention spread evenly),
+// and the episode outcomes the stream records.
 type DecisionSummary struct {
 	N          int
 	Behaviors  map[string]int
@@ -292,6 +293,10 @@ type DecisionSummary struct {
 	// over AttnRows rows (records without attention are skipped).
 	MeanAttnEntropy float64
 	AttnRows        int
+	// Collisions and Finished count the records that ended an episode
+	// with a crash or at the destination.
+	Collisions int
+	Finished   int
 }
 
 // SummarizeDecisions aggregates decision records.
@@ -308,6 +313,12 @@ func SummarizeDecisions(ds []Decision) DecisionSummary {
 		s.MeanImpact += d.Impact
 		if d.TTC > 0 && (s.MinTTC == 0 || d.TTC < s.MinTTC) {
 			s.MinTTC = d.TTC
+		}
+		if d.Collision {
+			s.Collisions++
+		}
+		if d.Finished {
+			s.Finished++
 		}
 		for _, row := range d.Attention {
 			if e, ok := rowEntropy(row); ok {
@@ -328,6 +339,38 @@ func SummarizeDecisions(ds []Decision) DecisionSummary {
 		s.MeanAttnEntropy = entSum / float64(s.AttnRows)
 	}
 	return s
+}
+
+// Report writes the summary as indented text: the maneuver mix, the
+// reward decomposition, the worst TTC, the attention entropy and the
+// episode outcomes.
+func (s DecisionSummary) Report(w io.Writer) {
+	fmt.Fprintf(w, "Decision summary (%d records)\n", s.N)
+	if s.N == 0 {
+		return
+	}
+	fmt.Fprint(w, "  maneuver mix: ")
+	names := make([]string, 0, len(s.Behaviors))
+	for b := range s.Behaviors {
+		names = append(names, b)
+	}
+	sort.Strings(names)
+	for i, b := range names {
+		if i > 0 {
+			fmt.Fprint(w, "  ")
+		}
+		fmt.Fprintf(w, "%s %.1f%%", b, 100*float64(s.Behaviors[b])/float64(s.N))
+	}
+	fmt.Fprintln(w)
+	fmt.Fprintf(w, "  reward %.4f = safety %.4f + efficiency %.4f + comfort %.4f + impact %.4f (per-term means)\n",
+		s.MeanReward, s.MeanSafety, s.MeanEff, s.MeanComf, s.MeanImpact)
+	if s.MinTTC > 0 {
+		fmt.Fprintf(w, "  min TTC %.2fs\n", s.MinTTC)
+	}
+	if s.AttnRows > 0 {
+		fmt.Fprintf(w, "  attention entropy %.3f nats over %d rows\n", s.MeanAttnEntropy, s.AttnRows)
+	}
+	fmt.Fprintf(w, "  outcomes: %d collisions, %d reached destination\n", s.Collisions, s.Finished)
 }
 
 // rowEntropy is the Shannon entropy (nats) of one attention row after

@@ -23,6 +23,10 @@ type Decision struct {
 	Comfort  float64 `json:"comfort"`
 	Impact   float64 `json:"impact"`
 	TTC      float64 `json:"ttc"` // time-to-collision this step, 0 when invalid
+	// Collision and Finished carry the episode outcome on the step that
+	// ended it: the AV crashed, or it reached the destination.
+	Collision bool `json:"collision,omitempty"`
+	Finished  bool `json:"finished,omitempty"`
 	// Attention holds the LST-GAT attention rows for the six surrounding
 	// targets at the decision's input state (row = target, column =
 	// attended neighbor); empty when the predictor exposes none.

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -168,6 +169,7 @@ func TestDecisionRoundTrip(t *testing.T) {
 	l.Decision(Decision{
 		Behavior: "LLC", Accel: -1.25,
 		Reward: 0.5, Safety: 0.1, Eff: 0.2, Comfort: 0.3, Impact: -0.1, TTC: 4.2,
+		Collision: true,
 		Attention: [][]float64{{0.75, 0.25}},
 	})
 	sr.End()
@@ -187,8 +189,14 @@ func TestDecisionRoundTrip(t *testing.T) {
 	if d.Behavior != "LLC" || d.Accel != -1.25 || d.TTC != 4.2 {
 		t.Errorf("payload = %+v", d)
 	}
+	if !d.Collision || d.Finished {
+		t.Errorf("episode outcome = collision %v finished %v, want true false", d.Collision, d.Finished)
+	}
 	if len(d.Attention) != 1 || d.Attention[0][0] != 0.75 {
 		t.Errorf("attention = %v", d.Attention)
+	}
+	if _, err := ReadDecisions(strings.NewReader(`{"step":1}` + "\n{not json")); err == nil {
+		t.Error("garbage decision stream parsed without error")
 	}
 }
 
@@ -339,8 +347,8 @@ func TestFlushRunsFinalizersOnce(t *testing.T) {
 func TestSummarizeDecisions(t *testing.T) {
 	ds := []Decision{
 		{Behavior: "KL", Reward: 1, Safety: 0.5, TTC: 3, Attention: [][]float64{{0.5, 0.5}}},
-		{Behavior: "KL", Reward: 3, Safety: 1.5, TTC: 0},
-		{Behavior: "LLC", Reward: 2, Eff: 3, TTC: 6},
+		{Behavior: "KL", Reward: 3, Safety: 1.5, TTC: 0, Collision: true},
+		{Behavior: "LLC", Reward: 2, Eff: 3, TTC: 6, Finished: true},
 	}
 	s := SummarizeDecisions(ds)
 	if s.N != 3 || s.Behaviors["KL"] != 2 || s.Behaviors["LLC"] != 1 {
@@ -351,6 +359,15 @@ func TestSummarizeDecisions(t *testing.T) {
 	}
 	if s.MinTTC != 3 {
 		t.Errorf("MinTTC = %g, want 3 (zero TTCs are invalid, not minimal)", s.MinTTC)
+	}
+	if s.Collisions != 1 || s.Finished != 1 {
+		t.Errorf("outcomes = %d collisions %d finished, want 1 1", s.Collisions, s.Finished)
+	}
+	var report strings.Builder
+	s.Report(&report)
+	if out := report.String(); !strings.Contains(out, "KL 66.7%  LLC 33.3%") ||
+		!strings.Contains(out, "outcomes: 1 collisions, 1 reached destination") {
+		t.Errorf("report:\n%s", out)
 	}
 	if s.AttnRows != 1 || math.Abs(s.MeanAttnEntropy-math.Log(2)) > 1e-12 {
 		t.Errorf("entropy = %g over %d rows, want ln2 over 1", s.MeanAttnEntropy, s.AttnRows)

@@ -26,16 +26,6 @@ type PDQNConfig struct {
 	// Q and x are updated in alternating phases of this many train steps
 	// instead of jointly.
 	AlternatePhaseLen int
-	// PER enables prioritized experience replay (Schaul et al.) with
-	// exponents PERAlpha (prioritization) and PERBeta (importance
-	// sampling correction), an extension beyond the paper's uniform
-	// replay.
-	PER               bool
-	PERAlpha, PERBeta float64
-	// OU enables Ornstein–Uhlenbeck acceleration exploration noise
-	// (temporally correlated, smoother than white noise) instead of
-	// independent Gaussian draws.
-	OU bool
 	// Backend names the tensor backend the decision networks' forward
 	// products run on ("" or "f64" for the float64 golden path, "f32" for
 	// the float32 fast path). Gradients and optimizer state stay float64
@@ -72,8 +62,6 @@ type PDQN struct {
 	qn, qT     QNet // online and target critic networks
 	optX, optQ *nn.Adam
 	buf        *Replay
-	bufP       *PrioritizedReplay
-	ou         *OUNoise
 	rng        *rand.Rand
 	steps      int
 	trainSteps int
@@ -83,14 +71,11 @@ type PDQN struct {
 	// steady-state scratch: the action-parameter buffer returned via
 	// Action.Raw (valid until the next Act; replay Push deep-copies it),
 	// cached matrix headers, and train-step batch storage.
-	rawBuf     []float64
-	rawMat     tensor.Matrix
-	sampleRaw  tensor.Matrix
-	dScratch   *tensor.Matrix
-	batch      []Transition
-	perIdxs    []int
-	perWeights []float64
-	tdErrs     []float64
+	rawBuf    []float64
+	rawMat    tensor.Matrix
+	sampleRaw tensor.Matrix
+	dScratch  *tensor.Matrix
+	batch     []Transition
 
 	// batched execution engine state: batch width (≤ 1 disables), the
 	// action-parameter arena backing SelectActionBatch results, target-y
@@ -113,7 +98,7 @@ func NewPDQN(name string, cfg PDQNConfig, aMax float64,
 	nn.SetBackend(be, x, xTarget, q, qTarget)
 	nn.CopyParams(xTarget, x)
 	nn.CopyParams(qTarget, q)
-	p := &PDQN{
+	return &PDQN{
 		name:    name,
 		cfg:     cfg,
 		backend: be.Name(),
@@ -124,21 +109,9 @@ func NewPDQN(name string, cfg PDQNConfig, aMax float64,
 		qT:      qTarget,
 		optX:    nn.NewAdam(cfg.LR),
 		optQ:    nn.NewAdam(cfg.LR),
+		buf:     NewReplay(cfg.ReplayCap),
 		rng:     rng,
 	}
-	if cfg.PER {
-		alpha := cfg.PERAlpha
-		if alpha <= 0 {
-			alpha = 0.6
-		}
-		p.bufP = NewPrioritizedReplay(cfg.ReplayCap, alpha)
-	} else {
-		p.buf = NewReplay(cfg.ReplayCap)
-	}
-	if cfg.OU {
-		p.ou = NewOUNoise(NumBehaviors, 0.15, cfg.NoiseStd, rng)
-	}
-	return p
 }
 
 // NewBPDQN builds the paper's BP-DQN agent with branched networks of
@@ -180,12 +153,7 @@ func (p *PDQN) Backend() string { return p.backend }
 func (p *PDQN) Epsilon() float64 { return p.cfg.Eps.At(p.steps) }
 
 // ReplayLen implements ReplayReporter: the replay-buffer occupancy.
-func (p *PDQN) ReplayLen() int {
-	if p.bufP != nil {
-		return p.bufP.Len()
-	}
-	return p.buf.Len()
-}
+func (p *PDQN) ReplayLen() int { return p.buf.Len() }
 
 // LastLoss implements LossReporter: the mean squared TD error of the most
 // recent critic minibatch (0 before the first training step).
@@ -215,15 +183,8 @@ func (p *PDQN) Act(state []float64, explore bool) Action {
 	p.rawBuf = raw
 	copy(raw, xout.Data)
 	if explore {
-		if p.ou != nil {
-			noise := p.ou.Sample()
-			for i := range raw {
-				raw[i] = clamp(raw[i]+noise[i], p.aMax)
-			}
-		} else {
-			for i := range raw {
-				raw[i] = clamp(raw[i]+p.rng.NormFloat64()*p.cfg.NoiseStd, p.aMax)
-			}
+		for i := range raw {
+			raw[i] = clamp(raw[i]+p.rng.NormFloat64()*p.cfg.NoiseStd, p.aMax)
 		}
 	}
 	b := 0
@@ -239,19 +200,9 @@ func (p *PDQN) Act(state []float64, explore bool) Action {
 
 // Observe implements Agent.
 func (p *PDQN) Observe(tr Transition) {
-	stored := 0
-	if p.bufP != nil {
-		p.bufP.Push(tr)
-		stored = p.bufP.Len()
-	} else {
-		p.buf.Push(tr)
-		stored = p.buf.Len()
-	}
+	p.buf.Push(tr)
 	p.steps++
-	if tr.Done && p.ou != nil {
-		p.ou.Reset()
-	}
-	if p.steps < p.cfg.Warmup || stored < p.cfg.BatchSize {
+	if p.steps < p.cfg.Warmup || p.buf.Len() < p.cfg.BatchSize {
 		return
 	}
 	if p.cfg.TrainEvery > 1 && p.steps%p.cfg.TrainEvery != 0 {
@@ -274,9 +225,7 @@ func (p *PDQN) phase() (trainQ, trainX bool) {
 // (Equation (23)), then soft-updates the target networks.
 func (p *PDQN) trainStep() {
 	var batch []Transition
-	var perIdxs []int
-	var perWeights []float64
-	if p.buf != nil && p.batchEnvs > 1 {
+	if p.batchEnvs > 1 {
 		// Prefetch pipeline: draw the sample indices here — the rng stream
 		// is identical to SampleInto's — then let the background stage
 		// deep-copy the minibatch into the idle double buffer while this
@@ -291,25 +240,14 @@ func (p *PDQN) trainStep() {
 		}
 		p.pf.begin(p.buf, p.sampleIdx)
 		nn.ZeroGrads(p.qn)
-		p.tdErrs = growFloats(p.tdErrs, p.cfg.BatchSize)
 		p.ys = growFloats(p.ys, p.cfg.BatchSize)
 		pw := p.trace.Start("replay_prefetch")
 		batch = p.pf.wait()
 		pw.End()
 	} else {
 		rs := p.trace.Start("replay_sample")
-		if p.bufP != nil {
-			beta := p.cfg.PERBeta
-			if beta <= 0 {
-				beta = 0.4
-			}
-			p.batch, p.perIdxs, p.perWeights = p.bufP.SampleInto(
-				p.batch, p.perIdxs, p.perWeights, p.cfg.BatchSize, beta, p.rng)
-			batch, perIdxs, perWeights = p.batch, p.perIdxs, p.perWeights
-		} else {
-			p.batch = p.buf.SampleInto(p.batch, p.cfg.BatchSize, p.rng)
-			batch = p.batch
-		}
+		p.batch = p.buf.SampleInto(p.batch, p.cfg.BatchSize, p.rng)
+		batch = p.batch
 		rs.End()
 	}
 	mu := p.trace.Start("minibatch_update")
@@ -325,8 +263,6 @@ func (p *PDQN) trainStep() {
 
 	if trainQ {
 		nn.ZeroGrads(p.qn)
-		p.tdErrs = growFloats(p.tdErrs, len(batch))
-		tdErrs := p.tdErrs
 		ys := p.targetValues(batch)
 		sqErr := 0.0
 		for k, tr := range batch {
@@ -334,22 +270,14 @@ func (p *PDQN) trainStep() {
 			raw := viewInto(&p.sampleRaw, 1, NumBehaviors, tr.Action.Raw)
 			qv := p.qn.Forward(tr.State, raw)
 			diff := qv.At(0, tr.Action.B) - y
-			tdErrs[k] = diff
 			sqErr += diff * diff
-			w := 1.0
-			if perWeights != nil {
-				w = perWeights[k]
-			}
 			d.Fill(0)
-			d.Set(0, tr.Action.B, w*diff/float64(len(batch)))
+			d.Set(0, tr.Action.B, diff/float64(len(batch)))
 			p.qn.Backward(d)
 		}
 		nn.ClipGradNorm(p.qn, p.cfg.ClipNorm)
 		p.optQ.Step(p.qn)
 		p.lastLoss = sqErr / float64(len(batch))
-		if p.bufP != nil {
-			p.bufP.UpdatePriorities(perIdxs, tdErrs)
-		}
 	}
 
 	if trainX {

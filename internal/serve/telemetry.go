@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -34,20 +33,16 @@ type Exemplar struct {
 	Observation json.RawMessage `json:"observation,omitempty"`
 }
 
-// ExemplarRing captures the slowest K requests per rolling window. The
-// current window accumulates into a bounded slowest-first set; when the
-// window rotates, the completed window's exemplars are retained as the
-// "last" generation, so a snapshot always covers between one and two
-// windows of tail history. Safe for concurrent use.
+// ExemplarRing captures the slowest K requests per rolling window. It is
+// a two-bucket obs.Window, each bucket one window long and bounded at K:
+// the current window accumulates into its bucket, and the completed
+// window's bucket is retained as the previous generation, so a snapshot
+// always covers between one and two windows of tail history. Safe for
+// concurrent use.
 type ExemplarRing struct {
-	mu       sync.Mutex
-	k        int
-	window   time.Duration
-	clock    func() time.Time
-	winStart time.Time
-	cur      []Exemplar // unordered, bounded at k
-	last     []Exemplar // previous window, sorted slowest first
-	drained  bool
+	k       int
+	win     *obs.Window[[]Exemplar]
+	drained atomic.Bool
 }
 
 // NewExemplarRing returns a ring keeping the slowest k requests per
@@ -60,32 +55,13 @@ func NewExemplarRing(k int, window time.Duration, clock func() time.Time) *Exemp
 	if window <= 0 {
 		window = time.Minute
 	}
-	if clock == nil {
-		clock = time.Now
-	}
-	return &ExemplarRing{k: k, window: window, clock: clock, winStart: clock()}
+	return &ExemplarRing{k: k, win: obs.NewWindow(2, window, clock, func(b *[]Exemplar) { *b = nil })}
 }
 
-// rotate ages the current window out when it has expired. Callers hold mu.
-func (r *ExemplarRing) rotate(now time.Time) {
-	if now.Sub(r.winStart) < r.window {
-		return
-	}
-	// One full window elapsed: the current set becomes the last
-	// generation. More than one: the last generation is stale too.
-	if now.Sub(r.winStart) < 2*r.window {
-		r.last = sortSlowFirst(r.cur)
-	} else {
-		r.last = nil
-	}
-	r.cur = nil
-	// Re-anchor to the current window boundary so rotation stays aligned.
-	elapsed := now.Sub(r.winStart)
-	r.winStart = r.winStart.Add(elapsed - elapsed%r.window)
-}
-
-func sortSlowFirst(es []Exemplar) []Exemplar {
-	out := append([]Exemplar(nil), es...)
+// retained returns both generations, slowest first.
+func (r *ExemplarRing) retained() []Exemplar {
+	var out []Exemplar
+	r.win.Each(func(b *[]Exemplar) { out = append(out, *b...) })
 	sort.Slice(out, func(i, j int) bool { return out[i].E2EMs > out[j].E2EMs })
 	return out
 }
@@ -94,46 +70,40 @@ func sortSlowFirst(es []Exemplar) []Exemplar {
 // only when the request displaces into the ring, so the fast path never
 // pays the observation marshal (nil wire skips the body).
 func (r *ExemplarRing) Offer(e Exemplar, wire func() []byte) {
-	if r == nil {
+	if r == nil || r.drained.Load() {
 		return
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.drained {
-		return
-	}
-	r.rotate(r.clock())
-	if len(r.cur) < r.k {
-		if wire != nil {
-			e.Observation = wire()
+	r.win.Observe(func(cur *[]Exemplar) {
+		if len(*cur) < r.k {
+			if wire != nil {
+				e.Observation = wire()
+			}
+			*cur = append(*cur, e)
+			return
 		}
-		r.cur = append(r.cur, e)
-		return
-	}
-	min := 0
-	for i := 1; i < len(r.cur); i++ {
-		if r.cur[i].E2EMs < r.cur[min].E2EMs {
-			min = i
+		set := *cur
+		min := 0
+		for i := 1; i < len(set); i++ {
+			if set[i].E2EMs < set[min].E2EMs {
+				min = i
+			}
 		}
-	}
-	if e.E2EMs > r.cur[min].E2EMs {
-		if wire != nil {
-			e.Observation = wire()
+		if e.E2EMs > set[min].E2EMs {
+			if wire != nil {
+				e.Observation = wire()
+			}
+			set[min] = e
 		}
-		r.cur[min] = e
-	}
+	})
 }
 
 // Snapshot returns the retained exemplars — the current window's set plus
 // the previous generation — slowest first.
 func (r *ExemplarRing) Snapshot() []Exemplar {
-	if r == nil {
+	if r == nil || r.drained.Load() {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.rotate(r.clock())
-	return sortSlowFirst(append(append([]Exemplar(nil), r.cur...), r.last...))
+	return r.retained()
 }
 
 // Drain flushes the ring exactly once: the first call returns every
@@ -141,18 +111,10 @@ func (r *ExemplarRing) Snapshot() []Exemplar {
 // capture; later calls return nil. This is the shutdown path — the drain
 // dump lands in the run manifest.
 func (r *ExemplarRing) Drain() []Exemplar {
-	if r == nil {
+	if r == nil || !r.drained.CompareAndSwap(false, true) {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.drained {
-		return nil
-	}
-	r.drained = true
-	out := sortSlowFirst(append(append([]Exemplar(nil), r.cur...), r.last...))
-	r.cur, r.last = nil, nil
-	return out
+	return r.retained()
 }
 
 // TelemetryConfig wires the request-telemetry layer. Every field is
