@@ -28,11 +28,6 @@ type GAT struct {
 	// Uniform replaces the learned attention with mean aggregation
 	// (α = 1/|N(i)|), the ablation of the importance-score mechanism.
 	Uniform bool
-	// Workers fans the ForwardBatch matmuls out over row tiles via
-	// internal/parallel when > 1. Results are bit-identical for every
-	// value (tiling never splits the accumulation axis); <= 1 runs the
-	// serial blocked kernel inline.
-	Workers int
 	Phi1    *Param // In×AttnDim, feature transform for scoring
 	Phi2    *Param // 1×2AttnDim, attention vector
 	Phi3    *Param // In×Out, feature transform for aggregation
@@ -81,7 +76,7 @@ func (g *GAT) Params() []*Param { return g.params }
 // spatial-temporal graph.
 func (g *GAT) Share() *GAT {
 	s := &GAT{In: g.In, AttnDim: g.AttnDim, Out: g.Out, Residual: g.Residual,
-		Uniform: g.Uniform, Workers: g.Workers, Phi1: g.Phi1, Phi2: g.Phi2, Phi3: g.Phi3,
+		Uniform: g.Uniform, Phi1: g.Phi1, Phi2: g.Phi2, Phi3: g.Phi3,
 		be: g.be}
 	s.params = []*Param{s.Phi1, s.Phi2, s.Phi3}
 	return s
@@ -128,10 +123,7 @@ func (g *GAT) forward(nodes *tensor.Matrix, targets []int, neighbors [][]int, bl
 	g.u = g.ws.Get(nodes.Rows, g.AttnDim)
 	g.w = g.ws.Get(nodes.Rows, g.Out)
 	be := backendOr(g.be)
-	if blocked && g.Workers > 1 {
-		be.MatMulParallel(&g.ws, g.u, nodes, g.Phi1.H(), g.Workers)
-		be.MatMulParallel(&g.ws, g.w, nodes, g.Phi3.H(), g.Workers)
-	} else if blocked {
+	if blocked {
 		// The batched products run on the contiguous-stream dot kernel
 		// against cached weight views; see Linear.ForwardBatch.
 		be.BatchMatMul(&g.ws, g.u, nodes, g.Phi1.H())

@@ -54,6 +54,15 @@ func (l *Linear) Params() []*Param { return l.params }
 // default f64 backend). Backward stays float64 regardless.
 func (l *Linear) SetBackend(be tensor.Backend) { l.be = be }
 
+// Share returns a new Linear that shares l's parameters (and backend) but
+// has an independent forward cache and workspace, so several weight-sharing
+// views can run forwards over the same weights concurrently.
+func (l *Linear) Share() *Linear {
+	s := &Linear{In: l.In, Out: l.Out, Weight: l.Weight, Bias: l.Bias, be: l.be}
+	s.params = []*Param{s.Weight, s.Bias}
+	return s
+}
+
 // Forward implements Layer.
 func (l *Linear) Forward(x *tensor.Matrix) *tensor.Matrix {
 	l.lastX = x

@@ -26,9 +26,12 @@ type Param struct {
 	h    *tensor.Weights // lazy generation-counted view cache over W
 }
 
-// NewParam allocates a named rows×cols parameter with a zero gradient.
+// NewParam allocates a named rows×cols parameter with a zero gradient. The
+// Weights handle is built eagerly, so weight-sharing views that forward
+// concurrently only ever read it.
 func NewParam(name string, rows, cols int) *Param {
-	return &Param{Name: name, W: tensor.New(rows, cols), Grad: tensor.New(rows, cols)}
+	w := tensor.New(rows, cols)
+	return &Param{Name: name, W: w, Grad: tensor.New(rows, cols), h: tensor.NewWeights(w)}
 }
 
 // ZeroGrad resets the accumulated gradient.
@@ -36,8 +39,8 @@ func (p *Param) ZeroGrad() { p.Grad.Zero() }
 
 // H returns the parameter's tensor.Weights handle: the generation-counted
 // cache of derived views (f64 transpose, f32 mirrors) the backend kernels
-// compute against. Created on first use, so params built by struct literal
-// work too.
+// compute against. NewParam builds it; params built by struct literal get
+// it on first use, which must not race with a concurrent forward.
 func (p *Param) H() *tensor.Weights {
 	if p.h == nil {
 		p.h = tensor.NewWeights(p.W)

@@ -4,6 +4,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"math"
 	"strings"
 )
 
@@ -63,6 +64,10 @@ func Load(r io.Reader, m Module) error {
 // f32-shaped numerics; loading it under f64 (or vice versa) would silently
 // shift every Table metric outside its tolerance fence, so the mismatch is
 // an error instead.
+//
+// Loading is all or nothing: every parameter's name, shape, length and
+// values (no NaN or ±Inf) are checked before any is copied, so an error
+// leaves m unchanged.
 func LoadTagged(r io.Reader, m Module, backend string) error {
 	var blobs []paramBlob
 	if err := gob.NewDecoder(r).Decode(&blobs); err != nil {
@@ -86,6 +91,8 @@ func LoadTagged(r io.Reader, m Module, backend string) error {
 		return fmt.Errorf("nn: load: parameter count mismatch: saved %d, module has %d",
 			len(blobs), len(params))
 	}
+	// Validate every blob before copying any, so a refused checkpoint
+	// leaves the module exactly as it was.
 	for i, p := range params {
 		b := blobs[i]
 		if b.Name != p.Name {
@@ -99,7 +106,14 @@ func LoadTagged(r io.Reader, m Module, backend string) error {
 		if len(b.Data) != len(p.W.Data) {
 			return fmt.Errorf("nn: load: parameter %q data length mismatch", b.Name)
 		}
-		copy(p.W.Data, b.Data)
+		for j, v := range b.Data {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("nn: load: parameter %q element %d is %v", b.Name, j, v)
+			}
+		}
+	}
+	for i, p := range params {
+		copy(p.W.Data, blobs[i].Data)
 		p.Touch()
 	}
 	return nil

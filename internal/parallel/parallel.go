@@ -1,6 +1,7 @@
 // Package parallel provides the repository's bounded fan-out primitives:
 // an errgroup-style worker pool over an index range, an index-ordered
-// parallel map, and a splittable seeding helper that derives decorrelated
+// parallel map, an allocation-free fork/join for hot compute paths
+// (FanOut), and a splittable seeding helper that derives decorrelated
 // random streams from a (base seed, unit index) pair.
 //
 // Determinism is the package's contract. Every parallel unit must draw its

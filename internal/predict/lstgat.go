@@ -2,9 +2,11 @@ package predict
 
 import (
 	"math/rand"
+	"runtime"
 
 	"head/internal/ngsim"
 	"head/internal/nn"
+	"head/internal/parallel"
 	"head/internal/phantom"
 	"head/internal/tensor"
 )
@@ -37,6 +39,18 @@ type LSTGAT struct {
 	// concatenated node matrix, reusing their backing arrays across calls.
 	batchTargets []int
 	batchNbrs    [][]int
+
+	// sharded PredictBatch: weight-sharing views running shards 1..k−1
+	// (the model itself runs shard 0), the fork/join that drives them, the
+	// current call's arguments, and the request-ordered attention rows of
+	// the last sharded call (shardAttn marks them as LastAttention's).
+	views     []*LSTGAT
+	fan       *parallel.FanOut
+	shardGs   []*phantom.Graph
+	shardOut  []Prediction
+	shards    int
+	attn      [][]float64
+	shardAttn bool
 }
 
 // LSTGATConfig sizes the network. The paper uses Dφ1 = Dφ3 = Dl = 64.
@@ -177,18 +191,8 @@ func (m *LSTGAT) forward(g *phantom.Graph) *tensor.Matrix {
 		m.seq[t] = cat
 	}
 	hs := m.lstm.Forward(m.seq)
-	m.lastT = z - 1
+	m.lastT, m.shardAttn = z-1, false
 	return m.out.Forward(hs[len(hs)-1])
-}
-
-// SetBatchWorkers fans the batched GAT matmuls out over internal/parallel
-// row tiles when n > 1. Any value yields bit-identical predictions; <= 1
-// (the default) keeps the batched pass single-threaded.
-func (m *LSTGAT) SetBatchWorkers(n int) {
-	m.gat.Workers = n
-	for _, g := range m.gats {
-		g.Workers = n
-	}
 }
 
 // forwardBatch is forward over several graphs at once: per history step the
@@ -276,21 +280,13 @@ func (m *LSTGAT) forwardBatch(gs []*phantom.Graph) *tensor.Matrix {
 		m.seq[t] = cat
 	}
 	hs := m.lstm.ForwardBatch(m.seq)
-	m.lastT = z - 1
+	m.lastT, m.shardAttn = z-1, false
 	return m.out.ForwardBatch(hs[len(hs)-1])
 }
 
-// PredictBatch predicts every graph in one batched pass, writing gs[i]'s
-// prediction into out[i]. Each prediction is bit-identical to
-// Predict(gs[i]) — the batched execution engine's contract, gated by
-// TestPredictBatchBitIdentity and the experiments golden test.
-func (m *LSTGAT) PredictBatch(gs []*phantom.Graph, out []Prediction) {
-	if len(gs) == 0 {
-		return
-	}
-	if len(out) < len(gs) {
-		panic("predict: PredictBatch out shorter than gs")
-	}
+// predictBatch is one batched pass over gs on this instance, unscaling
+// gs[i]'s rows into out[i].
+func (m *LSTGAT) predictBatch(gs []*phantom.Graph, out []Prediction) {
 	y := m.forwardBatch(gs)
 	row := 0
 	for e, g := range gs {
@@ -301,11 +297,94 @@ func (m *LSTGAT) PredictBatch(gs []*phantom.Graph, out []Prediction) {
 	}
 }
 
+// PredictBatch predicts every graph, writing gs[i]'s prediction into
+// out[i]. Each prediction is bit-identical to Predict(gs[i]) — the batched
+// execution engine's contract, gated by TestPredictBatchBitIdentity,
+// TestPredictBatchShardedBitIdentity and the experiments golden test.
+//
+// The graphs split into k = min(GOMAXPROCS, len(gs)) contiguous shards,
+// run in one fork/join: the model itself runs shard 0 and lazily built
+// weight-sharing views (private caches and workspace, shared parameters)
+// run the rest, each as one batched pass over its graphs. No row of the
+// batched forward reads another graph's rows, so any split yields the
+// same floats. k = 1 (one graph, or GOMAXPROCS = 1) is a single batched
+// pass on the calling goroutine.
+func (m *LSTGAT) PredictBatch(gs []*phantom.Graph, out []Prediction) {
+	if len(gs) == 0 {
+		return
+	}
+	if len(out) < len(gs) {
+		panic("predict: PredictBatch out shorter than gs")
+	}
+	k := min(runtime.GOMAXPROCS(0), len(gs))
+	if k == 1 {
+		m.predictBatch(gs, out)
+		return
+	}
+	for len(m.views) < k-1 {
+		m.views = append(m.views, m.view())
+	}
+	if m.fan == nil {
+		m.fan = parallel.NewFanOut(m.runShard)
+	}
+	m.shardGs, m.shardOut, m.shards = gs, out, k
+	m.fan.Run(k) // re-panics here if a shard panicked, like forwardBatch would
+	m.shardGs, m.shardOut = nil, nil
+	// Concatenate the shards' final-step attention rows in request order.
+	m.attn = m.attn[:0]
+	for s := 0; s < k; s++ {
+		m.attn = append(m.attn, m.shard(s).LastAttention()...)
+	}
+	m.shardAttn = true
+}
+
+// shard returns the instance that runs shard s.
+func (m *LSTGAT) shard(s int) *LSTGAT {
+	if s == 0 {
+		return m
+	}
+	return m.views[s-1]
+}
+
+// runShard is the fork/join's shard function: graphs [lo, hi) of the
+// current PredictBatch call, split as evenly as contiguity allows.
+func (m *LSTGAT) runShard(s int) {
+	n := len(m.shardGs)
+	lo, hi := s*n/m.shards, (s+1)*n/m.shards
+	m.shard(s).predictBatch(m.shardGs[lo:hi], m.shardOut[lo:hi])
+}
+
+// view returns an inference-only weight-sharing view of m: the same
+// parameters (and therefore the same cached weight views) behind private
+// layer caches and workspaces, so it can forward concurrently with m.
+func (m *LSTGAT) view() *LSTGAT {
+	gat := m.gat.Share()
+	gats := make([]*nn.GAT, len(m.gats))
+	for i := range gats {
+		gats[i] = gat.Share()
+	}
+	return &LSTGAT{
+		cfg:     m.cfg,
+		backend: m.backend,
+		gat:     gat,
+		gats:    gats,
+		lstm:    m.lstm.Share(),
+		out:     m.out.Share(),
+		scale:   m.scale,
+		z:       m.z,
+	}
+}
+
 // LastAttention returns the graph-attention weights of the most recent
 // prediction's final (decision-relevant) history step: one row per target
-// slot, one weight per attended neighbor. The rows alias the forward
-// cache — copy before retaining. Nil before the first Predict.
+// slot, one weight per attended neighbor — after a PredictBatch, every
+// graph's rows in request order, so graph i owns rows
+// [i·NumSlots, (i+1)·NumSlots). The rows alias the forward caches — copy
+// before retaining. Nil before the first Predict.
 func (m *LSTGAT) LastAttention() [][]float64 {
+	if m.shardAttn {
+		return m.attn
+	}
 	if m.lastT < 0 || m.lastT >= len(m.gats) {
 		return nil
 	}

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -18,6 +19,7 @@ import (
 	"head/internal/obs/span"
 	"head/internal/predict"
 	"head/internal/rl"
+	"head/internal/world"
 )
 
 func tinyEnvConfig() head.EnvConfig {
@@ -122,6 +124,85 @@ func TestServedDecisionBitIdentity(t *testing.T) {
 		t.Fatal("no servable steps: the sensor history never filled to Z frames")
 	}
 	t.Logf("verified %d served decisions bit-identical to serial", checked)
+}
+
+// TestServedDecisionBitIdentitySharded extends the determinism contract to
+// sharded batches: with GOMAXPROCS > 1 a replica's PredictBatch splits
+// its graphs across cores, and every served decision — maneuver,
+// acceleration, attention rows and the attention-entropy input of the
+// drift monitor — must still equal the serial env's, for every batch size
+// and row position.
+func TestServedDecisionBitIdentitySharded(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	cfg := tinyEnvConfig()
+	base := tinyServePredictor()
+	envPred := base.Clone()
+	env := head.NewEnv(cfg, envPred, rand.New(rand.NewSource(21)))
+	ctrl := &head.AgentController{ControllerName: "HEAD", Agent: tinyServeAgent(env)}
+	replica := NewReplica(ConfigFor(cfg), base.Clone(), tinyServeAgent(env))
+
+	// Serial reference: the env's decision and attention rows at each of
+	// the first servable steps.
+	type ref struct {
+		obs  *Observation
+		m    world.Maneuver
+		attn [][]float64
+	}
+	var refs []ref
+	env.Reset()
+	for !env.Done() && len(refs) < 9 {
+		m := ctrl.Decide(env)
+		o := Snapshot(env.SensorHistory())
+		if o.Validate(cfg.Sensor.Z) == nil {
+			var attn [][]float64
+			for _, row := range envPred.LastAttention() {
+				attn = append(attn, append([]float64(nil), row...))
+			}
+			o.ReturnAttention = true
+			refs = append(refs, ref{obs: &o, m: m, attn: attn})
+		}
+		env.StepManeuver(m)
+	}
+	if len(refs) < 4 {
+		t.Fatalf("only %d servable steps before the episode ended", len(refs))
+	}
+	for _, procs := range []int{2, 3, 4, 8} {
+		runtime.GOMAXPROCS(procs)
+		for n := 1; n <= len(refs); n++ {
+			batch := make([]*Observation, n)
+			for i := range batch {
+				batch[i] = refs[(i*3+n)%len(refs)].obs
+			}
+			out := make([]Decision, n)
+			if err := replica.DecideBatch(batch, out); err != nil {
+				t.Fatalf("GOMAXPROCS=%d n=%d: DecideBatch: %v", procs, n, err)
+			}
+			for i, d := range out {
+				r := refs[(i*3+n)%len(refs)]
+				if d.Behavior != int(r.m.B) || math.Float64bits(d.Accel) != math.Float64bits(r.m.A) {
+					t.Fatalf("GOMAXPROCS=%d n=%d row %d: served (%d, %x) != serial (%d, %x)",
+						procs, n, i, d.Behavior, math.Float64bits(d.Accel), int(r.m.B), math.Float64bits(r.m.A))
+				}
+				want, ok := quality.MeanAttnEntropy(r.attn)
+				if d.attnValid != ok || math.Float64bits(d.AttnEntropy) != math.Float64bits(want) {
+					t.Fatalf("GOMAXPROCS=%d n=%d row %d: attention entropy %x (valid %v) != serial %x (valid %v)",
+						procs, n, i, math.Float64bits(d.AttnEntropy), d.attnValid, math.Float64bits(want), ok)
+				}
+				if len(d.Attention) != len(r.attn) {
+					t.Fatalf("GOMAXPROCS=%d n=%d row %d: %d attention rows, serial has %d",
+						procs, n, i, len(d.Attention), len(r.attn))
+				}
+				for k := range r.attn {
+					for c := range r.attn[k] {
+						if math.Float64bits(d.Attention[k][c]) != math.Float64bits(r.attn[k][c]) {
+							t.Fatalf("GOMAXPROCS=%d n=%d row %d: attention[%d][%d] differs from serial",
+								procs, n, i, k, c)
+						}
+					}
+				}
+			}
+		}
+	}
 }
 
 // TestBatcherServesIdentical runs the full service path — concurrent

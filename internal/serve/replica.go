@@ -109,11 +109,13 @@ func (r *Replica) framesFor(o *Observation) []sensor.Frame {
 }
 
 // DecideBatch implements Decider: phantom construction per observation,
-// one batched LST-GAT forward over all graphs, augmented-state assembly,
+// one batched LST-GAT forward over all graphs (sharded across
+// min(GOMAXPROCS, n) cores inside PredictBatch), augmented-state assembly,
 // and one batched BP-DQN greedy selection. Row i is bit-identical to the
-// serial pipeline on obs[i] alone — PredictBatch and SelectActionBatch
-// guarantee per-row FP order, phantom construction and state assembly are
-// per-request to begin with — which is the service's determinism contract.
+// serial pipeline on obs[i] alone, for any GOMAXPROCS — PredictBatch and
+// SelectActionBatch guarantee per-row FP order for every shard split,
+// phantom construction and state assembly are per-request to begin with —
+// which is the service's determinism contract.
 func (r *Replica) DecideBatch(obs []*Observation, out []Decision) error {
 	n := len(obs)
 	if n == 0 {
@@ -140,8 +142,8 @@ func (r *Replica) DecideBatch(obs []*Observation, out []Decision) error {
 	}
 	r.preds = r.preds[:n]
 	r.predictor.PredictBatch(r.graphs[:n], r.preds)
-	// The batched forward's attention cache concatenates every graph's
-	// target rows in request order: request i owns rows
+	// The batched forward's attention rows concatenate every graph's
+	// target rows in request order, across shards: request i owns rows
 	// [i·NumSlots, (i+1)·NumSlots).
 	attn := r.predictor.LastAttention()
 

@@ -47,9 +47,6 @@ type Backend interface {
 	BatchMatMul(ws *Workspace, dst, a *Matrix, w *Weights)
 	BatchMatMulAddBias(ws *Workspace, dst, a *Matrix, w, bias *Weights)
 	BatchLSTMPreact(ws *Workspace, z, x *Matrix, wx *Weights, h *Matrix, wh, bias *Weights)
-	// MatMulParallel is BatchMatMul with row tiles fanned out over at most
-	// workers goroutines (the GAT multi-worker path).
-	MatMulParallel(ws *Workspace, dst, a *Matrix, w *Weights, workers int)
 
 	// Tanh writes the element-wise tanh of a into dst at the backend's
 	// precision. dst may alias a.
@@ -146,10 +143,6 @@ func (f64Backend) BatchLSTMPreact(ws *Workspace, z, x *Matrix, wx *Weights, h *M
 	MatMulDualAddBiasDotInto(z, x, wx.T(), h, wh.T(), bias.Mat())
 }
 
-func (f64Backend) MatMulParallel(ws *Workspace, dst, a *Matrix, w *Weights, workers int) {
-	MatMulParallelInto(dst, a, w.Mat(), workers)
-}
-
 func (f64Backend) Tanh(dst, a *Matrix) { TanhInto(dst, a) }
 
 // --- float32 backend ---
@@ -199,13 +192,6 @@ func (b f32Backend) BatchMatMulAddBias(ws *Workspace, dst, a *Matrix, w, bias *W
 
 func (b f32Backend) BatchLSTMPreact(ws *Workspace, z, x *Matrix, wx *Weights, h *Matrix, wh, bias *Weights) {
 	b.LSTMPreact(ws, z, x, wx, h, wh, bias)
-}
-
-func (f32Backend) MatMulParallel(ws *Workspace, dst, a *Matrix, w *Weights, workers int) {
-	a32 := stage32(ws, a)
-	d32 := ws.Get32(dst.Rows, dst.Cols)
-	MatMulDotParallel32Into(d32, a32, w.T32(), workers)
-	Widen(dst, d32)
 }
 
 // Tanh narrows each input to float32, evaluates tanh, and rounds the

@@ -72,12 +72,6 @@ func TestBackendF64BitIdentity(t *testing.T) {
 			t.Fatalf("trial %d: F64.BatchMatMulAddBias diverges from MatMulAddBiasInto", trial)
 		}
 
-		F64.MatMulParallel(&ws, got, x, w, 3)
-		MatMulInto(want, x, wMat)
-		if !bitsEqual(got, want) {
-			t.Fatalf("trial %d: F64.MatMulParallel diverges from MatMulInto", trial)
-		}
-
 		// LSTM pre-activation: serial and batch forms against the legacy
 		// MatMulInto + AddInPlace + bias sequence.
 		h := randMat(rng, r, k)
@@ -158,28 +152,6 @@ func TestBackendF32Tolerance(t *testing.T) {
 		F32.BatchMatMulAddBias(&ws, batch, x, w, b)
 		if !bitsEqual(batch, f32out) {
 			t.Fatalf("trial %d: f32 serial and batch MatMulAddBias disagree", trial)
-		}
-	}
-}
-
-// TestBackendF32ParallelIdentity checks the f32 parallel product is
-// bit-identical to the f32 serial product for every worker count.
-func TestBackendF32ParallelIdentity(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	var ws Workspace
-	x := New(13, 17)
-	x.RandUniform(rng, 1)
-	wMat := New(17, 11)
-	wMat.RandUniform(rng, 1)
-	w := NewWeights(wMat)
-	ws.Reset()
-	serial := New(13, 11)
-	F32.MatMul(&ws, serial, x, w)
-	for workers := 1; workers <= 6; workers++ {
-		got := New(13, 11)
-		F32.MatMulParallel(&ws, got, x, w, workers)
-		if !bitsEqual(got, serial) {
-			t.Fatalf("f32 parallel product diverges from serial at %d workers", workers)
 		}
 	}
 }

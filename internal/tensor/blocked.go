@@ -1,15 +1,10 @@
 package tensor
 
-import (
-	"context"
-	"fmt"
+import "fmt"
 
-	"head/internal/parallel"
-)
-
-// This file holds the row-blocked and worker-parallel variants of the
-// MatMul*Into kernels, used by the batched execution engine (internal/batch
-// and the *Batch forwards in internal/nn). They trade the streaming
+// This file holds the row-blocked variants of the MatMul*Into kernels,
+// used by the batched execution engine (internal/batch and the *Batch
+// forwards in internal/nn). They trade the streaming
 // read-modify-write of MatMulInto's inner loop for a small block of local
 // accumulators that the compiler keeps in registers, storing each dst
 // element exactly once.
@@ -19,17 +14,8 @@ import (
 // Tiling is over rows and columns of dst only — NEVER over the k
 // accumulation axis. Every dst element still receives its products in
 // ascending-k order from a +0 start, exactly like MatMulInto, so a blocked
-// (or worker-parallel) product is bit-identical to the serial kernel for
-// any block size or worker count. The property tests in blocked_test.go
-// gate this for random shapes.
-//
-// # Parallel variant
-//
-// MatMulParallelInto fans row tiles out over internal/parallel workers.
-// Row tiles write disjoint dst rows and only read a and b, so the result
-// is both race-free and bit-identical for every worker count; with one
-// worker it degenerates to the serial blocked kernel (parallel.ForEach
-// takes its inline fast path and spawns no goroutine).
+// product is bit-identical to the serial kernel for any block size. The
+// property tests in blocked_test.go gate this for random shapes.
 
 // blockedRowsInto computes every row of a·b with the register-tiled
 // kernel. Shapes must already be validated by the caller.
@@ -453,40 +439,4 @@ func MatMulAddBiasDotInto(dst, a, bt, bias *Matrix) {
 			dst.Row(i)[j] = s + bv
 		}
 	}
-}
-
-// MatMulParallelInto writes a·b into dst, fanning contiguous row tiles out
-// over at most workers goroutines (parallel.Workers semantics; <= 1 runs
-// inline). Tiles split rows only — the k axis is never divided — so the
-// result is bit-identical to MatMulInto and MatMulBlockedInto for every
-// worker count.
-func MatMulParallelInto(dst, a, b *Matrix, workers int) {
-	if a.Cols != b.Rows {
-		panic(fmt.Sprintf("tensor: MatMulParallelInto inner mismatch %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	checkShape("MatMulParallelInto", dst, a.Rows, b.Cols)
-	noAlias("MatMulParallelInto", dst, a)
-	noAlias("MatMulParallelInto", dst, b)
-	w := parallel.Workers(workers)
-	if w > a.Rows {
-		w = a.Rows
-	}
-	if w <= 1 {
-		blockedRowsInto(dst, a, b)
-		return
-	}
-	k, c := a.Cols, b.Cols
-	tile := (a.Rows + w - 1) / w
-	// Row tiles write disjoint dst rows; the shared inputs are read-only.
-	_ = parallel.ForEach(context.Background(), w, w, func(t int) error {
-		lo := t * tile
-		hi := lo + tile
-		if hi > a.Rows {
-			hi = a.Rows
-		}
-		for i := lo; i < hi; i++ {
-			blockedRowInto(dst.Row(i), a.Row(i), b, k, c)
-		}
-		return nil
-	})
 }

@@ -7,10 +7,10 @@ import (
 )
 
 // TestBlockedBitIdentity is the contract test for the batched execution
-// engine's kernels: the register-tiled and worker-parallel matmul variants
-// must match MatMulInto bit-for-bit across random shapes (crossing the 8-
-// and 4-wide column-block boundaries) and worker counts, with dst
-// pre-filled with garbage to catch any assumption of a zeroed destination.
+// engine's kernels: the register-tiled and dot-kernel matmul variants must
+// match MatMulInto bit-for-bit across random shapes (crossing the 8- and
+// 4-wide column-block boundaries), with dst pre-filled with garbage to
+// catch any assumption of a zeroed destination.
 func TestBlockedBitIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	garbage := func(rows, cols int) *Matrix {
@@ -86,14 +86,6 @@ func TestBlockedBitIdentity(t *testing.T) {
 			t.Fatalf("trial %d: MatMulDualAddBiasDotInto differs from the serial sequence for %dx%d·%dx%d + %dx%d·%dx%d",
 				trial, r, k, k, c, r, k2, k2, c)
 		}
-		for _, workers := range []int{1, 2, 3, 8} {
-			got = garbage(r, c)
-			MatMulParallelInto(got, a, b, workers)
-			if !bitsEqual(want, got) {
-				t.Fatalf("trial %d: MatMulParallelInto(workers=%d) differs from MatMulInto for %dx%d·%dx%d",
-					trial, workers, r, k, k, c)
-			}
-		}
 	}
 }
 
@@ -132,6 +124,5 @@ func TestBlockedShapeAndAliasPanics(t *testing.T) {
 	expectPanic("inner mismatch", func() { MatMulBlockedInto(New(2, 4), a, New(2, 4)) })
 	expectPanic("dst shape", func() { MatMulBlockedInto(New(3, 4), a, b) })
 	expectPanic("dst aliases a", func() { MatMulBlockedInto(a, a, b) })
-	expectPanic("parallel inner mismatch", func() { MatMulParallelInto(New(2, 4), a, New(2, 4), 2) })
 	expectPanic("bias shape", func() { MatMulAddBiasBlockedInto(New(2, 4), a, b, New(1, 3)) })
 }

@@ -1,5 +1,7 @@
 package tensor
 
+import "sync"
+
 // Weights wraps a canonical float64 parameter matrix with lazily built,
 // generation-counted derived views: the f64 transpose the dot kernels want
 // (T) and the float32 mirrors the f32 backend computes against (M32, T32).
@@ -18,10 +20,16 @@ package tensor
 // change which float is loaded when, never what the consuming kernel
 // multiplies or in which order — so a kernel reading T is bit-identical to
 // the same kernel transposing on the fly.
+//
+// View access is safe for concurrent use: weight-sharing model views
+// forwarding on several goroutines may race to rebuild a view after a
+// Touch, and the mutex makes exactly one of them do it. Touch itself must
+// not overlap a forward (the optimizer never runs during inference).
 type Weights struct {
-	m   *Matrix
-	gen uint64
+	m *Matrix
 
+	mu     sync.Mutex // guards gen and the cached views
+	gen    uint64
 	t      *Matrix
 	tGen   uint64
 	m32    *Matrix32
@@ -41,12 +49,18 @@ func (w *Weights) Mat() *Matrix { return w.m }
 
 // Touch invalidates every derived view; the next access rebuilds from the
 // canonical matrix. Call after any mutation of Mat().Data.
-func (w *Weights) Touch() { w.gen++ }
+func (w *Weights) Touch() {
+	w.mu.Lock()
+	w.gen++
+	w.mu.Unlock()
+}
 
 // T returns the cached float64 transpose of the canonical matrix.
 // The returned matrix is owned by the cache: callers must not write it,
 // and it is only valid until the next Touch.
 func (w *Weights) T() *Matrix {
+	w.mu.Lock()
+	defer w.mu.Unlock()
 	if w.t == nil {
 		w.t = New(w.m.Cols, w.m.Rows)
 		w.tGen = 0
@@ -61,6 +75,8 @@ func (w *Weights) T() *Matrix {
 // M32 returns the cached float32 rounding of the canonical matrix. Same
 // ownership rules as T.
 func (w *Weights) M32() *Matrix32 {
+	w.mu.Lock()
+	defer w.mu.Unlock()
 	if w.m32 == nil {
 		w.m32 = New32(w.m.Rows, w.m.Cols)
 		w.m32Gen = 0
@@ -77,6 +93,8 @@ func (w *Weights) M32() *Matrix32 {
 // Transpose(M32()); it is built directly from the canonical matrix without
 // materializing either intermediate. Same ownership rules as T.
 func (w *Weights) T32() *Matrix32 {
+	w.mu.Lock()
+	defer w.mu.Unlock()
 	if w.t32 == nil {
 		w.t32 = New32(w.m.Cols, w.m.Rows)
 		w.t32Gen = 0
