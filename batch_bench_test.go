@@ -1,12 +1,13 @@
 package head_test
 
 // Benchmarks of the batched execution engine (internal/batch and the
-// *Batch forwards underneath it). Each benchmark processes batchEnvs
-// environments per op, so per-env cost is ns/op ÷ batchEnvs; CI's
-// bench-batch job divides accordingly (benchcheck -speedup) and enforces
-// the ≥2× per-env win over the serial benchmarks in alloc_bench_test.go.
-// Steady state must stay allocation-free: all batch-shaped intermediates
-// come from the same workspace arenas as the serial passes.
+// multi-row forwards underneath it). The two *Batch benchmarks process
+// batchEnvs environments per op, so per-env cost is ns/op ÷ batchEnvs;
+// CI's bench-batch job divides accordingly (benchcheck -speedup) and
+// enforces the per-env floor over the one-graph benchmarks in
+// alloc_bench_test.go. Steady state must stay allocation-free: all
+// batch-shaped intermediates come from the same workspace arenas as the
+// one-row passes.
 
 import (
 	"math/rand"
@@ -57,11 +58,11 @@ func BenchmarkBPDQNSelectActionBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkTrainStepPrefetch times one BP-DQN training step with the
-// double-buffered replay prefetch pipeline and batched target-network
-// evaluation enabled (batch-envs > 1 on the training side). The replay
-// buffer is pre-filled so every Observe triggers a gradient step.
-func BenchmarkTrainStepPrefetch(b *testing.B) {
+// BenchmarkTrainStep times one BP-DQN training step: one replay sample,
+// one batched target-network forward pair over the minibatch, and the
+// per-transition critic and actor updates. The replay buffer is pre-filled
+// so every Observe triggers a gradient step.
+func BenchmarkTrainStep(b *testing.B) {
 	env := newBenchEnv(14)
 	cfg := rl.DefaultPDQNConfig()
 	cfg.Warmup = cfg.BatchSize
@@ -71,13 +72,11 @@ func BenchmarkTrainStepPrefetch(b *testing.B) {
 	// (a growing ring allocates two state slices per Observe by design).
 	cfg.ReplayCap = 512
 	agent := rl.NewBPDQN(cfg, env.Spec(), env.AMax(), 32, rand.New(rand.NewSource(14)))
-	agent.SetBatchEnvs(batchEnvs)
-	defer agent.Close()
 	state := append([]float64(nil), env.Reset()...)
 	tr := rl.Transition{State: state, Next: state, Reward: 0.1}
 	tr.Action = agent.Act(state, true)
 	// Warm up: fill the replay ring to capacity and run steps so every
-	// scratch buffer and the pipeline's double buffers exist.
+	// scratch buffer exists.
 	for i := 0; i < cfg.ReplayCap+8; i++ {
 		agent.Observe(tr)
 	}

@@ -32,7 +32,7 @@ func main() {
 		train     = flag.Int("train", 0, "override the number of training episodes")
 		seed      = flag.Int64("seed", 0, "override the random seed")
 		workers   = flag.Int("workers", 0, "max parallel workers (0 = all cores; results are identical for any value)")
-		batchEnvs = flag.Int("batch-envs", 0, "lock-step batched execution width for evaluation and training (<=1 = serial; results are identical for any value)")
+		batchEnvs = flag.Int("batch-envs", 0, "lock-step batched execution width for evaluation episodes; training ignores it (<=1 = serial; results are identical for any value)")
 		backendN  = flag.String("backend", "", "tensor backend for model forwards: f64 (default, bit-identical golden path) or f32 (float32 fast path)")
 		debugAddr = flag.String("debug-addr", "", "serve /metrics, /debug/pprof/* and /debug/vars on this address (e.g. :8080; empty disables)")
 		progress  = flag.Bool("progress", false, "print a live heartbeat line per episode/epoch to stderr")

@@ -49,7 +49,7 @@ func main() {
 		episodes  = flag.Int("episodes", 0, "override the number of test episodes")
 		seed      = flag.Int64("seed", 0, "override the random seed")
 		workers   = flag.Int("workers", 0, "max parallel workers (0 = all cores; results are identical for any value)")
-		batchEnvs = flag.Int("batch-envs", 0, "lock-step batched execution width for evaluation and training (<=1 = serial; results are identical for any value)")
+		batchEnvs = flag.Int("batch-envs", 0, "lock-step batched execution width for evaluation episodes; training ignores it (<=1 = serial; results are identical for any value)")
 		debugAddr = flag.String("debug-addr", "", "serve /metrics, /debug/pprof/* and /debug/vars on this address (e.g. :8080; empty disables)")
 		progress  = flag.Bool("progress", false, "print a live heartbeat line per episode/epoch to stderr")
 		traceOut  = flag.String("trace-out", "", "directory to write trace.json (Chrome trace-event JSON) and decisions.jsonl into (empty disables tracing)")
@@ -144,8 +144,7 @@ func trainRun(s experiments.Scale, dir, scaleName string) error {
 		OnEpisode: func(st rl.EpisodeStats) {
 			snap.Snap(s.Metrics, map[string]any{"phase": "rl", "episode": st.Episode, "reward": st.Reward})
 		},
-		Trace:     s.Trace.Lane("train"),
-		BatchEnvs: s.BatchEnvs,
+		Trace: s.Trace.Lane("train"),
 	})
 	fmt.Printf("trained in %v\n", res.TCT.Round(1e9))
 	if err := experiments.SaveModule(filepath.Join(dir, experiments.CkptBPDQN), agent, s.Backend); err != nil {

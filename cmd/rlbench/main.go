@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	rlbench [-batch-envs N] [-scale quick|record|paper] [-train N] [-episodes N] [-seed N] [-workers N] [-debug-addr :8080] [-progress]
+//	rlbench [-scale quick|record|paper] [-train N] [-episodes N] [-seed N] [-workers N] [-debug-addr :8080] [-progress]
 //	rlbench ... [-trace-out dir] [-trace-sample 0.1]  # flight-record the run
 //	rlbench ... [-bench-json]                         # also write BENCH_rl.json
 package main
@@ -29,7 +29,6 @@ func main() {
 		episodes  = flag.Int("episodes", 0, "override the number of test episodes")
 		seed      = flag.Int64("seed", 0, "override the random seed")
 		workers   = flag.Int("workers", 0, "max parallel workers (0 = all cores; results are identical for any value)")
-		batchEnvs = flag.Int("batch-envs", 0, "enable the agents' out-of-band batch mechanisms at this width (<=1 = serial; results are identical for any value)")
 		backendN  = flag.String("backend", "", "tensor backend for model forwards: f64 (default, bit-identical golden path) or f32 (float32 fast path)")
 		debugAddr = flag.String("debug-addr", "", "serve /metrics, /debug/pprof/* and /debug/vars on this address (e.g. :8080; empty disables)")
 		progress  = flag.Bool("progress", false, "print a live heartbeat line per episode/epoch to stderr")
@@ -63,7 +62,6 @@ func main() {
 		s.Seed = *seed
 	}
 	s.Workers = *workers
-	s.BatchEnvs = *batchEnvs
 	s.Backend = *backendN
 	srv, finishTrace, err := s.ObserveDefault(*progress, *debugAddr, *traceOut, *traceSmpl)
 	if err != nil {

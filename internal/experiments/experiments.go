@@ -71,12 +71,12 @@ type Scale struct {
 	// in unit order, so the table metrics do not depend on this knob —
 	// only wall-clock time does.
 	Workers int
-	// BatchEnvs is the batched-execution width: evaluation episodes run in
-	// lock-step groups of this size (internal/batch), and training enables
-	// the agent's out-of-band batch mechanisms (batched target-network
-	// evaluation, replay prefetch). Like Workers it is a throughput knob
-	// only — table bytes and checkpoints are bit-identical for every
-	// value, which the golden test gates.
+	// BatchEnvs is the batched-evaluation width: evaluation episodes run
+	// in lock-step groups of this size (internal/batch), and the Table III
+	// accuracy evaluation predicts in batches of it. Training does not
+	// read it. Like Workers it is a throughput knob only — table bytes and
+	// checkpoints are bit-identical for every value, which the golden test
+	// gates.
 	BatchEnvs int
 	// Backend names the tensor backend the model forwards run on: "" or
 	// "f64" is the float64 golden path (table bytes and checkpoints
@@ -113,10 +113,9 @@ type Scale struct {
 // concurrent units never share lane state.
 func (s Scale) instrUnit(unit int64) rl.Instrumentation {
 	return rl.Instrumentation{
-		Metrics:   s.Metrics,
-		Progress:  s.Progress,
-		Trace:     s.Trace.Lane(fmt.Sprintf("train-%02d", unit)),
-		BatchEnvs: s.BatchEnvs,
+		Metrics:  s.Metrics,
+		Progress: s.Progress,
+		Trace:    s.Trace.Lane(fmt.Sprintf("train-%02d", unit)),
 	}
 }
 

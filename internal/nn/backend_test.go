@@ -27,7 +27,8 @@ func relErr(got, want *tensor.Matrix) float64 {
 // TestBackendForwardParity runs the same Linear/LSTM/GAT weights under
 // both backends: the f64 forward must be bit-identical to a never-touched
 // layer (SetBackend(F64) is a no-op), and the f32 forward must track it to
-// float32-level relative error in both serial and batch form.
+// float32-level relative error (LSTM: in both Forward and the cache-free
+// ForwardBatch).
 func TestBackendForwardParity(t *testing.T) {
 	const rtol = 1e-4
 	rng := rand.New(rand.NewSource(31))
@@ -47,17 +48,6 @@ func TestBackendForwardParity(t *testing.T) {
 	got32 := f32l.Forward(x)
 	if e := relErr(got32, want); e == 0 || e > rtol {
 		t.Fatalf("Linear: f32 forward rel err %g (want nonzero and < %g)", e, rtol)
-	}
-	batch32 := f32l.ForwardBatch(x)
-	serial32 := tensor.New(6, 8)
-	copy(serial32.Data, got32.Data)
-	// Recompute serial f32 after the batch pass (workspace reuse) and
-	// compare: serial and batch f32 Linear forwards share one kernel.
-	if again := f32l.Forward(x); !tensor.Equal(again, batch32, 0) {
-		t.Fatal("Linear: f32 serial and batch forwards disagree")
-	}
-	if !tensor.Equal(batch32, serial32, 0) {
-		t.Fatal("Linear: f32 batch forward unstable across passes")
 	}
 
 	// LSTM over a short sequence
@@ -101,48 +91,69 @@ func TestBackendForwardParity(t *testing.T) {
 	}
 }
 
-// TestMirrorFreshness pins the Touch discipline end to end: batch forwards
-// read cached weight views, so an optimizer step (and CopyParams,
+// TestMirrorFreshness pins the Touch discipline end to end: every forward
+// reads cached weight views, so an optimizer step (and CopyParams,
 // SoftUpdate, Load) must invalidate them. A stale mirror would make the
-// post-step forward reproduce the pre-step output.
+// post-step forward reproduce the pre-step output. Linear, GAT and LSTM
+// (Forward and the cache-free ForwardBatch) are each checked on both
+// backends.
 func TestMirrorFreshness(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	x := tensor.New(4, 10)
 	x.RandUniform(rng, 1)
+	seq := []*tensor.Matrix{x, x}
+	targets := []int{0, 2}
+	neighbors := [][]int{{0, 1, 3}, {2, 1}}
+	layers := []struct {
+		name string
+		mk   func(seed int64) Module
+		fwd  func(m Module) *tensor.Matrix
+	}{
+		{"Linear", func(seed int64) Module { return NewLinear("lin", 10, 6, rand.New(rand.NewSource(seed))) },
+			func(m Module) *tensor.Matrix { return m.(*Linear).Forward(x) }},
+		{"GAT", func(seed int64) Module { return NewGAT("gat", 10, 5, 6, rand.New(rand.NewSource(seed))) },
+			func(m Module) *tensor.Matrix { return m.(*GAT).Forward(x, targets, neighbors) }},
+		{"LSTM", func(seed int64) Module { return NewLSTM("lstm", 10, 3, rand.New(rand.NewSource(seed))) },
+			func(m Module) *tensor.Matrix { return m.(*LSTM).Forward(seq)[1] }},
+		{"LSTM.ForwardBatch", func(seed int64) Module { return NewLSTM("lstm", 10, 3, rand.New(rand.NewSource(seed))) },
+			func(m Module) *tensor.Matrix { return m.(*LSTM).ForwardBatch(seq)[1] }},
+	}
 	for _, be := range []tensor.Backend{tensor.F64, tensor.F32} {
-		l := NewLinear("lin", 10, 6, rand.New(rand.NewSource(4)))
-		SetBackend(be, l)
-		before := l.ForwardBatch(x).Clone()
+		for _, lc := range layers {
+			name := be.Name() + " " + lc.name
+			l := lc.mk(4)
+			SetBackend(be, l)
+			before := lc.fwd(l).Clone()
 
-		// One gradient step moves the weights; the next batch forward must
-		// see the new values through the cached views.
-		dy := tensor.New(4, 6)
-		dy.Fill(0.1)
-		l.Backward(dy)
-		opt := NewAdam(0.05)
-		opt.Step(l)
-		fresh := NewLinear("lin", 10, 6, rand.New(rand.NewSource(5)))
-		CopyParams(fresh, l)
-		SetBackend(be, fresh)
-		want := fresh.ForwardBatch(x)
-		got := l.ForwardBatch(x)
-		if !tensor.Equal(got, want, 0) {
-			t.Fatalf("%s: batch forward after optimizer step served a stale weight mirror", be.Name())
-		}
-		if tensor.Equal(got, before, 0) {
-			t.Fatalf("%s: optimizer step did not change the batch forward at all", be.Name())
-		}
+			// One optimizer step moves the weights; the next forward must
+			// see the new values through the cached views.
+			for _, p := range l.Params() {
+				p.Grad.Fill(0.1)
+			}
+			NewAdam(0.05).Step(l)
+			fresh := lc.mk(5)
+			CopyParams(fresh, l)
+			SetBackend(be, fresh)
+			want := lc.fwd(fresh).Clone()
+			got := lc.fwd(l)
+			if !tensor.Equal(got, want, 0) {
+				t.Fatalf("%s: forward after optimizer step served a stale weight mirror", name)
+			}
+			if tensor.Equal(got, before, 0) {
+				t.Fatalf("%s: optimizer step did not change the forward at all", name)
+			}
 
-		// SoftUpdate must also refresh the destination's views.
-		other := NewLinear("lin", 10, 6, rand.New(rand.NewSource(6)))
-		SetBackend(be, other)
-		_ = other.ForwardBatch(x) // warm the mirror cache
-		SoftUpdate(other, l, 0.5)
-		check := NewLinear("lin", 10, 6, rand.New(rand.NewSource(7)))
-		CopyParams(check, other)
-		SetBackend(be, check)
-		if !tensor.Equal(other.ForwardBatch(x), check.ForwardBatch(x), 0) {
-			t.Fatalf("%s: batch forward after SoftUpdate served a stale weight mirror", be.Name())
+			// SoftUpdate must also refresh the destination's views.
+			other := lc.mk(6)
+			SetBackend(be, other)
+			_ = lc.fwd(other) // warm the mirror cache
+			SoftUpdate(other, l, 0.5)
+			check := lc.mk(7)
+			CopyParams(check, other)
+			SetBackend(be, check)
+			if !tensor.Equal(lc.fwd(other).Clone(), lc.fwd(check), 0) {
+				t.Fatalf("%s: forward after SoftUpdate served a stale weight mirror", name)
+			}
 		}
 	}
 }

@@ -32,49 +32,36 @@ func cloneMat(m *tensor.Matrix) *tensor.Matrix {
 	return c
 }
 
-// TestForwardBatchBitIdentity checks the two halves of the batched-forward
-// contract for every layer with a ForwardBatch: (1) on the same input the
-// batched pass is bit-identical to Forward, and (2) stacking several
-// "environments" row-wise and running one batched pass reproduces each
-// environment's serial Forward rows byte-for-byte.
+// TestForwardBatchBitIdentity checks the row-independence contract that
+// lets one forward serve a whole batch: the rows of an N-row Linear or
+// Sequential forward equal N one-row forwards bit for bit.
 func TestForwardBatchBitIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 20; trial++ {
 		in := 2 + rng.Intn(10)
 		out := 1 + rng.Intn(12)
-		rows := 1 + rng.Intn(6)
-		nEnv := 1 + rng.Intn(5)
+		rows := 1 + rng.Intn(12)
 
 		lin := NewLinear("lin", in, out, rng)
 		seqNet := NewMLP("mlp", []int{in, 2 + rng.Intn(8), out}, rng)
-		xs := make([]*tensor.Matrix, nEnv)
-		for e := range xs {
-			xs[e] = tensor.New(rows, in)
-			fillRand(xs[e], rng)
-		}
-		stacked := tensor.New(nEnv*rows, in)
-		for e, x := range xs {
-			copy(stacked.Data[e*rows*in:], x.Data)
-		}
+		stacked := tensor.New(rows, in)
+		fillRand(stacked, rng)
 
 		for name, net := range map[string]interface {
 			Forward(*tensor.Matrix) *tensor.Matrix
-			ForwardBatch(*tensor.Matrix) *tensor.Matrix
 		}{"Linear": lin, "Sequential": seqNet} {
-			var serial []*tensor.Matrix
-			for _, x := range xs {
-				serial = append(serial, cloneMat(net.Forward(x)))
+			var single []*tensor.Matrix
+			for r := 0; r < rows; r++ {
+				x := tensor.FromSlice(1, in, append([]float64(nil), stacked.Row(r)...))
+				single = append(single, cloneMat(net.Forward(x)))
 			}
-			matBitsEqual(t, name+" same-input", serial[0], cloneMat(net.ForwardBatch(xs[0])))
-			batched := net.ForwardBatch(stacked)
-			for e := range xs {
-				for r := 0; r < rows; r++ {
-					for j := 0; j < out; j++ {
-						want := serial[e].At(r, j)
-						got := batched.At(e*rows+r, j)
-						if math.Float64bits(want) != math.Float64bits(got) {
-							t.Fatalf("%s stacked env %d row %d col %d: %v vs %v", name, e, r, j, want, got)
-						}
+			batched := net.Forward(stacked)
+			for r := 0; r < rows; r++ {
+				for j := 0; j < out; j++ {
+					want := single[r].At(0, j)
+					got := batched.At(r, j)
+					if math.Float64bits(want) != math.Float64bits(got) {
+						t.Fatalf("%s row %d col %d: one-row %v vs %d-row %v", name, r, j, want, rows, got)
 					}
 				}
 			}
@@ -144,7 +131,8 @@ func TestLSTMForwardBatchBitIdentity(t *testing.T) {
 
 // TestGATForwardBatchBitIdentity checks the graph-concatenation form of
 // batching: N graphs become one node matrix with per-graph node offsets,
-// and each graph's target rows match its serial Forward bit-for-bit.
+// and each graph's target rows of the one concatenated Forward match that
+// graph's own Forward bit-for-bit.
 func TestGATForwardBatchBitIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 20; trial++ {
@@ -194,9 +182,7 @@ func TestGATForwardBatchBitIdentity(t *testing.T) {
 		for e, gr := range graphs {
 			serial[e] = cloneMat(g.Forward(gr.nodes, gr.targets, gr.neighbors))
 		}
-		sameIn := g.ForwardBatch(graphs[0].nodes, graphs[0].targets, graphs[0].neighbors)
-		matBitsEqual(t, "GAT same-input", serial[0], sameIn)
-		batched := g.ForwardBatch(bigNodes, bigTargets, bigNeighbors)
+		batched := g.Forward(bigNodes, bigTargets, bigNeighbors)
 		for e := 0; e < nEnv; e++ {
 			for i := 0; i < nTargets; i++ {
 				for j := 0; j < out; j++ {

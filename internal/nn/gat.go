@@ -97,24 +97,12 @@ func (g *GAT) Alphas() [][]float64 { return g.alphas }
 // target node indices; neighbors[i] lists the node indices attended by
 // targets[i] and must include the target itself (the self-loop edge ③ of
 // the paper's graph construction). The result has one row per target.
+//
+// Several graphs batch by concatenating their node matrices and offsetting
+// targets/neighbors by each graph's node base: the node transforms are
+// row-independent and the attention loop reads only a target's own
+// neighborhood, so every graph's rows equal its own Forward bit for bit.
 func (g *GAT) Forward(nodes *tensor.Matrix, targets []int, neighbors [][]int) *tensor.Matrix {
-	return g.forward(nodes, targets, neighbors, false)
-}
-
-// ForwardBatch is Forward on the row-blocked kernels of the batched
-// execution engine. The result is bit-identical to Forward — the blocked
-// matmuls preserve the ascending-k accumulation order and the per-target
-// attention loop is untouched — and the forward caches (including Alphas)
-// are filled exactly as Forward fills them, so Backward remains valid.
-// Batching N graphs means concatenating their node matrices and offsetting
-// targets/neighbors by each graph's node base; every per-graph row then
-// matches the per-graph Forward bit-for-bit because all cross-row
-// computation is row-independent.
-func (g *GAT) ForwardBatch(nodes *tensor.Matrix, targets []int, neighbors [][]int) *tensor.Matrix {
-	return g.forward(nodes, targets, neighbors, true)
-}
-
-func (g *GAT) forward(nodes *tensor.Matrix, targets []int, neighbors [][]int, blocked bool) *tensor.Matrix {
 	if len(targets) != len(neighbors) {
 		panic("nn: GAT targets/neighbors length mismatch")
 	}
@@ -123,15 +111,8 @@ func (g *GAT) forward(nodes *tensor.Matrix, targets []int, neighbors [][]int, bl
 	g.u = g.ws.Get(nodes.Rows, g.AttnDim)
 	g.w = g.ws.Get(nodes.Rows, g.Out)
 	be := backendOr(g.be)
-	if blocked {
-		// The batched products run on the contiguous-stream dot kernel
-		// against cached weight views; see Linear.ForwardBatch.
-		be.BatchMatMul(&g.ws, g.u, nodes, g.Phi1.H())
-		be.BatchMatMul(&g.ws, g.w, nodes, g.Phi3.H())
-	} else {
-		be.MatMul(&g.ws, g.u, nodes, g.Phi1.H())
-		be.MatMul(&g.ws, g.w, nodes, g.Phi3.H())
-	}
+	be.MatMul(&g.ws, g.u, nodes, g.Phi1.H())
+	be.MatMul(&g.ws, g.w, nodes, g.Phi3.H())
 	D := g.AttnDim
 	phi2a := g.Phi2.W.Data[:D]
 	phi2b := g.Phi2.W.Data[D:]
@@ -193,6 +174,12 @@ func (g *GAT) forward(nodes *tensor.Matrix, targets []int, neighbors [][]int, bl
 		g.preact[ti] = pre
 	}
 	return out
+}
+
+// ForwardBatch is Forward. It exists only as the entry point the
+// repository benchmark's layer ledger times; nothing else calls it.
+func (g *GAT) ForwardBatch(nodes *tensor.Matrix, targets []int, neighbors [][]int) *tensor.Matrix {
+	return g.Forward(nodes, targets, neighbors)
 }
 
 // Backward propagates dOut (len(targets)×Out) to parameter gradients and

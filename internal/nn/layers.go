@@ -72,6 +72,10 @@ func (l *Linear) Forward(x *tensor.Matrix) *tensor.Matrix {
 	return y
 }
 
+// ForwardBatch is Forward. It exists only as the entry point the
+// repository benchmark's layer ledger times; nothing else calls it.
+func (l *Linear) ForwardBatch(x *tensor.Matrix) *tensor.Matrix { return l.Forward(x) }
+
 // Backward implements Layer.
 func (l *Linear) Backward(dy *tensor.Matrix) *tensor.Matrix {
 	// dW = xᵀ·dy, db = column sums of dy, dx = dy·Wᵀ. The products are

@@ -128,6 +128,58 @@ func (l *LSTM) Forward(seq []*tensor.Matrix) []*tensor.Matrix {
 	return l.hs
 }
 
+// ForwardBatch is the cache-free inference pass: the same per-step
+// pre-activation and gate formulas as Forward, in the same order, so the
+// hidden states are bit-identical to Forward's, but the six per-element
+// backward caches are skipped entirely. It shares Forward's workspace and
+// resets it, invalidating the previous pass's caches; Backward must not
+// follow a ForwardBatch, and the caches are cleared so it returns nil
+// instead of stale gradients.
+func (l *LSTM) ForwardBatch(seq []*tensor.Matrix) []*tensor.Matrix {
+	n := len(seq)
+	l.ws.Reset()
+	l.xs = l.xs[:0] // inference-only: poison Backward
+	l.bhs = growPtrs(l.bhs, n)
+	if n == 0 {
+		return nil
+	}
+	batch := seq[0].Rows
+	H := l.Hidden
+	be := backendOr(l.be)
+	hPrev := l.ws.GetZero(batch, H)
+	cPrev := l.ws.GetZero(batch, H)
+	for t, x := range seq {
+		z := l.ws.Get(batch, 4*H)
+		be.LSTMPreact(&l.ws, z, x, l.Wx.H(), hPrev, l.Wh.H(), l.B.H())
+		c := l.ws.Get(batch, H)
+		h := l.ws.Get(batch, H)
+		for r := 0; r < batch; r++ {
+			zr := z.Row(r)
+			// One subslice per gate block hoists the zr[g*H+j] address
+			// arithmetic and bounds checks out of the element loop.
+			zi := zr[:H]
+			zf := zr[H : 2*H]
+			zg := zr[2*H : 3*H]
+			zo := zr[3*H : 4*H]
+			cpr := cPrev.Row(r)[:H]
+			cr := c.Row(r)[:H]
+			hr := h.Row(r)[:H]
+			for j := 0; j < H; j++ {
+				iv := sigmoid(zi[j])
+				fv := sigmoid(zf[j])
+				gv := math.Tanh(zg[j])
+				ov := sigmoid(zo[j])
+				cv := fv*cpr[j] + iv*gv
+				cr[j] = cv
+				hr[j] = ov * math.Tanh(cv)
+			}
+		}
+		l.bhs[t] = h
+		hPrev, cPrev = h, c
+	}
+	return l.bhs
+}
+
 // Backward runs backpropagation through time. dHidden holds the loss
 // gradient with respect to the hidden state at each step; nil entries are
 // treated as zero (e.g. when the loss only touches the final step).

@@ -16,12 +16,17 @@ func checkGrads(t *testing.T, m Module, loss func() float64, tol float64) {
 	const eps = 1e-6
 	for _, p := range m.Params() {
 		for i := range p.W.Data {
+			// Every forward reads the cached weight views, so each write to
+			// W.Data is followed by a Touch.
 			orig := p.W.Data[i]
 			p.W.Data[i] = orig + eps
+			p.Touch()
 			lp := loss()
 			p.W.Data[i] = orig - eps
+			p.Touch()
 			lm := loss()
 			p.W.Data[i] = orig
+			p.Touch()
 			num := (lp - lm) / (2 * eps)
 			ana := p.Grad.Data[i]
 			if math.Abs(num-ana) > tol*(1+math.Abs(num)) {
@@ -36,6 +41,8 @@ func TestLinearForward(t *testing.T) {
 	l := NewLinear("l", 2, 2, rng)
 	copy(l.Weight.W.Data, []float64{1, 2, 3, 4})
 	copy(l.Bias.W.Data, []float64{10, 20})
+	l.Weight.Touch()
+	l.Bias.Touch()
 	y := l.Forward(tensor.FromSlice(1, 2, []float64{1, 1}))
 	want := tensor.FromSlice(1, 2, []float64{14, 26})
 	if !tensor.Equal(y, want, 1e-12) {
@@ -285,6 +292,7 @@ func TestGATForwardConvexCombination(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		g.Phi3.W.Set(i, i, 1)
 	}
+	g.Phi3.Touch()
 	nodes := tensor.New(3, 4)
 	nodes.RandUniform(rng, 1)
 	out := g.Forward(nodes, []int{0}, [][]int{{0, 1, 2}})

@@ -35,10 +35,13 @@ type LSTGAT struct {
 	seq     []*tensor.Matrix
 	dHidden []*tensor.Matrix
 
-	// batched-forward scratch: offset target/neighbor index views over the
-	// concatenated node matrix, reusing their backing arrays across calls.
+	// encode scratch: offset target/neighbor index views over the
+	// concatenated node matrix, reusing their backing arrays across calls,
+	// and the one-graph slices Predict and forward pass to it.
 	batchTargets []int
 	batchNbrs    [][]int
+	one          [1]*phantom.Graph
+	oneOut       [1]Prediction
 
 	// sharded PredictBatch: weight-sharing views running shards 1..k−1
 	// (the model itself runs shard 0), the fork/join that drives them, the
@@ -153,68 +156,29 @@ func (m *LSTGAT) Params() []*nn.Param {
 	return ps
 }
 
-// forward runs the full network, returning the scaled 6×3 output. The
-// LSTM input at each step concatenates every target's own (scaled) state
-// vector with its graph-attention aggregation: the pure convex combination
-// of Equation (11) cannot isolate the target's own state — its softmax
-// weights sum to one, so neighbor content is always injected at full
-// magnitude — and the concatenation lets the temporal model weigh raw
-// state against interaction context (see BenchmarkAblationAggregator).
-func (m *LSTGAT) forward(g *phantom.Graph) *tensor.Matrix {
-	z := len(g.Steps)
-	m.ws.Reset()
-	if cap(m.seq) < z {
-		m.seq = make([]*tensor.Matrix, z)
-	}
-	m.seq = m.seq[:z]
-	for t := 0; t < z; t++ {
-		nodes := m.ws.Get(len(g.Steps[t]), gatInDim)
-		m.scale.nodesInto(nodes, g.Steps[t])
-		for n := 0; n < nodes.Rows; n++ {
-			nodes.Row(n)[phantom.FeatureDim] = slotCode[n]
-		}
-		if t >= len(m.gats) {
-			// Histories longer than configured get extra weight-sharing
-			// views so every step keeps its own backward cache.
-			m.gats = append(m.gats, m.gat.Share())
-		}
-		ctx := m.gats[t].Forward(nodes, g.Targets, g.Neighbors)
-		// The LSTM input concatenates each target's own scaled features
-		// with its attention aggregation, written straight into one
-		// workspace row per target.
-		cat := m.ws.Get(len(g.Targets), phantom.FeatureDim+ctx.Cols)
-		for i, node := range g.Targets {
-			row := cat.Row(i)
-			copy(row[:phantom.FeatureDim], nodes.Row(node)[:phantom.FeatureDim])
-			copy(row[phantom.FeatureDim:], ctx.Row(i))
-		}
-		m.seq[t] = cat
-	}
-	hs := m.lstm.Forward(m.seq)
-	m.lastT, m.shardAttn = z-1, false
-	return m.out.Forward(hs[len(hs)-1])
-}
-
-// forwardBatch is forward over several graphs at once: per history step the
-// graphs' node matrices stack into one gather matrix (targets and neighbor
-// lists shifted by each graph's node base), one shared-weight GAT pass
-// aggregates every graph's neighborhoods, and the LSTM and read-out run
-// over the concatenated target rows. Every per-graph row is bit-identical
-// to the serial forward: the gather writes the same scaled features, the
-// blocked kernels keep MatMulInto's accumulation order, and all cross-row
-// computation is row-independent. Inference-only — the LSTM skips its
-// backward caches.
-func (m *LSTGAT) forwardBatch(gs []*phantom.Graph) *tensor.Matrix {
+// encode runs the per-step front half of the network over gs and leaves
+// the LSTM input sequence in m.seq: per history step the graphs' scaled
+// node matrices (with the slot code column) stack into one gather matrix,
+// targets and neighbor lists shift by each graph's node base, one
+// shared-weight GAT pass aggregates every graph's neighborhoods, and each
+// target's LSTM input row concatenates its own scaled state vector with its
+// attention aggregation. The pure convex combination of Equation (11)
+// cannot isolate the target's own state — its softmax weights sum to one,
+// so neighbor content is always injected at full magnitude — and the
+// concatenation lets the temporal model weigh raw state against interaction
+// context (see BenchmarkAblationAggregator). No row reads another graph's
+// rows, so every graph's rows are bit-identical however gs is batched.
+func (m *LSTGAT) encode(gs []*phantom.Graph) {
 	z := len(gs[0].Steps)
 	nodesPer := len(gs[0].Steps[0])
 	nTargets := 0
 	for _, g := range gs {
 		if len(g.Steps) != z {
-			panic("predict: forwardBatch graphs disagree on history length")
+			panic("predict: batched graphs disagree on history length")
 		}
 		for _, step := range g.Steps {
 			if len(step) != nodesPer {
-				panic("predict: forwardBatch graphs disagree on node count")
+				panic("predict: batched graphs disagree on node count")
 			}
 		}
 		nTargets += len(g.Targets)
@@ -263,9 +227,11 @@ func (m *LSTGAT) forwardBatch(gs []*phantom.Graph) *tensor.Matrix {
 			}
 		}
 		if t >= len(m.gats) {
+			// Histories longer than configured get extra weight-sharing
+			// views so every step keeps its own backward cache.
 			m.gats = append(m.gats, m.gat.Share())
 		}
-		ctx := m.gats[t].ForwardBatch(nodes, targets, neighbors)
+		ctx := m.gats[t].Forward(nodes, targets, neighbors)
 		cat := m.ws.Get(nTargets, phantom.FeatureDim+ctx.Cols)
 		idx = 0
 		for e, g := range gs {
@@ -279,9 +245,28 @@ func (m *LSTGAT) forwardBatch(gs []*phantom.Graph) *tensor.Matrix {
 		}
 		m.seq[t] = cat
 	}
-	hs := m.lstm.ForwardBatch(m.seq)
 	m.lastT, m.shardAttn = z-1, false
-	return m.out.ForwardBatch(hs[len(hs)-1])
+}
+
+// forward runs the full network over one graph with every layer's backward
+// cache filled, returning the scaled 6×3 output. Only training
+// (GradBatch) needs it; inference runs forwardBatch.
+func (m *LSTGAT) forward(g *phantom.Graph) *tensor.Matrix {
+	m.one[0] = g
+	m.encode(m.one[:])
+	m.one[0] = nil
+	hs := m.lstm.Forward(m.seq)
+	return m.out.Forward(hs[len(hs)-1])
+}
+
+// forwardBatch is the inference pass over several graphs: encode, then the
+// cache-free LSTM pass and the read-out over the concatenated target rows.
+// Its rows are bit-identical to forward's on each graph (LSTM.ForwardBatch
+// runs Forward's arithmetic without the backward caches).
+func (m *LSTGAT) forwardBatch(gs []*phantom.Graph) *tensor.Matrix {
+	m.encode(gs)
+	hs := m.lstm.ForwardBatch(m.seq)
+	return m.out.Forward(hs[len(hs)-1])
 }
 
 // predictBatch is one batched pass over gs on this instance, unscaling
@@ -298,9 +283,10 @@ func (m *LSTGAT) predictBatch(gs []*phantom.Graph, out []Prediction) {
 }
 
 // PredictBatch predicts every graph, writing gs[i]'s prediction into
-// out[i]. Each prediction is bit-identical to Predict(gs[i]) — the batched
-// execution engine's contract, gated by TestPredictBatchBitIdentity,
-// TestPredictBatchShardedBitIdentity and the experiments golden test.
+// out[i]. Each prediction is bit-identical to Predict(gs[i]) and to the
+// training forward on gs[i] — the batched execution engine's contract,
+// gated by TestPredictBatchBitIdentity, TestPredictBatchShardedBitIdentity
+// and the experiments golden test.
 //
 // The graphs split into k = min(GOMAXPROCS, len(gs)) contiguous shards,
 // run in one fork/join: the model itself runs shard 0 and lazily built
@@ -391,15 +377,14 @@ func (m *LSTGAT) LastAttention() [][]float64 {
 	return m.gats[m.lastT].Alphas()
 }
 
-// Predict implements Model. All six targets are predicted in one parallel
-// pass.
+// Predict implements Model: the one-graph case of PredictBatch, run on
+// the calling goroutine. All six targets are predicted in one pass and the
+// steady state allocates nothing.
 func (m *LSTGAT) Predict(g *phantom.Graph) Prediction {
-	y := m.forward(g)
-	var p Prediction
-	for i := 0; i < phantom.NumSlots; i++ {
-		p[i] = m.scale.unscaleRow(y.Row(i))
-	}
-	return p
+	m.one[0] = g
+	m.predictBatch(m.one[:], m.oneOut[:])
+	m.one[0] = nil
+	return m.oneOut[0]
 }
 
 // TrainBatch implements Model: masked MSE (Equation (14)) with phantom

@@ -53,29 +53,10 @@ var avNodes = func() map[int]bool {
 	return m
 }()
 
-// nodesInto writes one spatial graph's scaled features into the first
-// FeatureDim columns of dst (one row per node; dst may be wider, extra
-// columns are left for the caller).
-func (s scaler) nodesInto(dst *tensor.Matrix, step []phantom.Feature) {
-	for n, f := range step {
-		row := dst.Row(n)
-		if avNodes[n] {
-			row[0] = f[0] / s.laneScale
-			row[1] = f[1] / s.roadScale
-			row[2] = f[2] / s.vScale
-		} else {
-			row[0] = f[0] / s.latScale
-			row[1] = f[1] / s.lonScale
-			row[2] = f[2] / s.vScale
-		}
-		row[3] = f[3]
-	}
-}
-
-// nodesIntoAt is nodesInto writing at a row offset, for the batched
-// gather that stacks several graphs' node features into one matrix. The
-// per-row arithmetic is exactly nodesInto's, so a stacked block is
-// bit-identical to the matrix the serial path builds for that graph.
+// nodesIntoAt writes one spatial graph's scaled features into the first
+// FeatureDim columns of rows [rowBase, rowBase+len(step)) of dst (dst may
+// be wider, extra columns are left for the caller), so several graphs can
+// stack into one gather matrix.
 func (s scaler) nodesIntoAt(dst *tensor.Matrix, rowBase int, step []phantom.Feature) {
 	for n, f := range step {
 		row := dst.Row(rowBase + n)

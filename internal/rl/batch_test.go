@@ -1,12 +1,9 @@
 package rl
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
 	"testing"
-
-	"head/internal/nn"
 )
 
 // randStates draws n random augmented states for spec.
@@ -77,53 +74,16 @@ func TestSelectActionBatchBitIdentity(t *testing.T) {
 	}
 }
 
-// trainToy runs a fixed seeded training schedule and returns the final
-// checkpoint bytes.
-func trainToy(t *testing.T, batchEnvs int) []byte {
-	t.Helper()
-	env := newToyEnv(80)
-	cfg := fastCfg()
-	cfg.Warmup = 32
-	agent := NewBPDQN(cfg, env.Spec(), env.AMax(), 8, rand.New(rand.NewSource(81)))
-	agent.SetBatchEnvs(batchEnvs)
-	defer agent.Close()
-	for ep := 0; ep < 8; ep++ {
-		state := append([]float64(nil), env.Reset()...)
-		for {
-			a := agent.Act(state, true)
-			next, r, done := env.Step(a.B, a.A)
-			agent.Observe(Transition{State: state, Action: a, Reward: r, Next: next, Done: done})
-			state = append(state[:0], next...)
-			if done {
-				break
-			}
-		}
-	}
-	var buf bytes.Buffer
-	if err := nn.Save(&buf, agent); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-// TestTrainBatchEnvsCheckpointIdentity is the training-side bit-identity
-// gate: the batched target-network evaluation and the replay prefetch
-// pipeline (both enabled by SetBatchEnvs > 1) must leave a seeded training
-// run's checkpoint byte-identical to the width-1 serial run.
-func TestTrainBatchEnvsCheckpointIdentity(t *testing.T) {
-	serial := trainToy(t, 1)
-	batched := trainToy(t, 8)
-	if !bytes.Equal(serial, batched) {
-		t.Fatal("checkpoint bytes differ between batch-envs 1 and 8")
-	}
-}
-
-// TestTargetValuesBatchMatchesSerial compares the two targetValues paths
-// directly on a mixed done/non-done minibatch.
+// TestTargetValuesBatchMatchesSerial pins the minibatch TD targets: the
+// one target-network forward pair over all non-terminal next states must
+// equal, bit for bit, y = r + γ·max_b Q_T computed from a one-state forward
+// per transition, on a mixed done/non-done minibatch (and on an all-done
+// one, where no forward runs).
 func TestTargetValuesBatchMatchesSerial(t *testing.T) {
 	spec := DefaultStateSpec()
 	rng := rand.New(rand.NewSource(90))
-	agent := NewBPDQN(fastCfg(), spec, 3, 8, rand.New(rand.NewSource(91)))
+	cfg := fastCfg()
+	agent := NewBPDQN(cfg, spec, 3, 8, rand.New(rand.NewSource(91)))
 	states := randStates(spec, 12, rng)
 	nexts := randStates(spec, 12, rng)
 	batch := make([]Transition, 12)
@@ -136,13 +96,27 @@ func TestTargetValuesBatchMatchesSerial(t *testing.T) {
 			Action: Action{B: i % NumBehaviors, Raw: []float64{0.1, -0.2, 0.3}},
 		}
 	}
-	agent.SetBatchEnvs(1)
-	serial := append([]float64(nil), agent.targetValues(batch)...)
-	agent.SetBatchEnvs(8)
-	batched := agent.targetValues(batch)
-	for k := range serial {
-		if math.Float64bits(serial[k]) != math.Float64bits(batched[k]) {
-			t.Fatalf("target %d: serial %v batched %v", k, serial[k], batched[k])
+	want := make([]float64, len(batch))
+	for k, tr := range batch {
+		want[k] = tr.Reward
+		if !tr.Done {
+			one := [][]float64{tr.Next}
+			q := agent.qT.Forward(one, agent.xT.Forward(one))
+			want[k] += cfg.Gamma * q.At(0, q.ArgmaxRow(0))
+		}
+	}
+	got := agent.targetValues(batch)
+	for k := range want {
+		if math.Float64bits(want[k]) != math.Float64bits(got[k]) {
+			t.Fatalf("target %d: one-state %v minibatch %v", k, want[k], got[k])
+		}
+	}
+	for i := range batch {
+		batch[i].Done = true
+	}
+	for k, y := range agent.targetValues(batch) {
+		if math.Float64bits(y) != math.Float64bits(batch[k].Reward) {
+			t.Fatalf("all-done target %d: %v, want the reward %v", k, y, batch[k].Reward)
 		}
 	}
 }

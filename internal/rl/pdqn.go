@@ -70,23 +70,21 @@ type PDQN struct {
 
 	// steady-state scratch: the action-parameter buffer returned via
 	// Action.Raw (valid until the next Act; replay Push deep-copies it),
-	// cached matrix headers, and train-step batch storage.
+	// the one-state slice single decisions forward, cached matrix headers,
+	// and train-step batch storage.
 	rawBuf    []float64
+	one       [1][]float64
 	rawMat    tensor.Matrix
 	sampleRaw tensor.Matrix
 	dScratch  *tensor.Matrix
 	batch     []Transition
 
-	// batched execution engine state: batch width (≤ 1 disables), the
-	// action-parameter arena backing SelectActionBatch results, target-y
-	// scratch, and the replay prefetch pipeline (lazily started).
-	batchEnvs   int
+	// SelectActionBatch's action-parameter arena and the minibatch
+	// target scratch of targetValues.
 	batchRaw    []float64
 	batchRawMat tensor.Matrix
 	ys          []float64
 	nextStates  [][]float64
-	sampleIdx   []int
-	pf          *prefetcher
 }
 
 // NewPDQN assembles an agent from freshly constructed online and target
@@ -178,7 +176,8 @@ func (p *PDQN) Params() []*nn.Param {
 // with ε-greedy behavior exploration and Gaussian acceleration noise
 // during training.
 func (p *PDQN) Act(state []float64, explore bool) Action {
-	xout := p.x.Forward(state)
+	states := p.single(state)
+	xout := p.x.Forward(states)
 	raw := growFloats(p.rawBuf, NumBehaviors)
 	p.rawBuf = raw
 	copy(raw, xout.Data)
@@ -192,10 +191,17 @@ func (p *PDQN) Act(state []float64, explore bool) Action {
 		b = p.rng.Intn(NumBehaviors)
 	} else {
 		noisy := viewInto(&p.rawMat, 1, NumBehaviors, raw)
-		qv := p.qn.Forward(state, noisy)
+		qv := p.qn.Forward(states, noisy)
 		b = qv.ArgmaxRow(0)
 	}
 	return Action{B: b, A: raw[b], Raw: raw}
+}
+
+// single returns state as the one-row batch the networks forward, reusing
+// the agent's one-element slice so a single decision allocates nothing.
+func (p *PDQN) single(state []float64) [][]float64 {
+	p.one[0] = state
+	return p.one[:]
 }
 
 // Observe implements Agent.
@@ -224,32 +230,10 @@ func (p *PDQN) phase() (trainQ, trainX bool) {
 // trainStep performs one minibatch update of L2 (Equation (22)) and L3
 // (Equation (23)), then soft-updates the target networks.
 func (p *PDQN) trainStep() {
-	var batch []Transition
-	if p.batchEnvs > 1 {
-		// Prefetch pipeline: draw the sample indices here — the rng stream
-		// is identical to SampleInto's — then let the background stage
-		// deep-copy the minibatch into the idle double buffer while this
-		// goroutine clears gradients and grows scratch. The gathered batch
-		// holds the same floats the aliasing SampleInto would have served,
-		// so training is bit-identical to the serial path.
-		rs := p.trace.Start("replay_sample")
-		p.sampleIdx = p.buf.SampleIndicesInto(p.sampleIdx, p.cfg.BatchSize, p.rng)
-		rs.End()
-		if p.pf == nil {
-			p.pf = newPrefetcher()
-		}
-		p.pf.begin(p.buf, p.sampleIdx)
-		nn.ZeroGrads(p.qn)
-		p.ys = growFloats(p.ys, p.cfg.BatchSize)
-		pw := p.trace.Start("replay_prefetch")
-		batch = p.pf.wait()
-		pw.End()
-	} else {
-		rs := p.trace.Start("replay_sample")
-		p.batch = p.buf.SampleInto(p.batch, p.cfg.BatchSize, p.rng)
-		batch = p.batch
-		rs.End()
-	}
+	rs := p.trace.Start("replay_sample")
+	p.batch = p.buf.SampleInto(p.batch, p.cfg.BatchSize, p.rng)
+	batch := p.batch
+	rs.End()
 	mu := p.trace.Start("minibatch_update")
 	defer mu.End()
 	trainQ, trainX := p.phase()
@@ -268,7 +252,7 @@ func (p *PDQN) trainStep() {
 		for k, tr := range batch {
 			y := ys[k]
 			raw := viewInto(&p.sampleRaw, 1, NumBehaviors, tr.Action.Raw)
-			qv := p.qn.Forward(tr.State, raw)
+			qv := p.qn.Forward(p.single(tr.State), raw)
 			diff := qv.At(0, tr.Action.B) - y
 			sqErr += diff * diff
 			d.Fill(0)
@@ -284,8 +268,9 @@ func (p *PDQN) trainStep() {
 		nn.ZeroGrads(p.x)
 		nn.ZeroGrads(p.qn)
 		for _, tr := range batch {
-			xout := p.x.Forward(tr.State)
-			p.qn.Forward(tr.State, xout)
+			states := p.single(tr.State)
+			xout := p.x.Forward(states)
+			p.qn.Forward(states, xout)
 			// L3 = −Σ_b Q_b ⇒ dL3/dQ = −1 for every output.
 			d.Fill(-1 / float64(len(batch)))
 			dx := p.qn.Backward(d)
@@ -298,4 +283,71 @@ func (p *PDQN) trainStep() {
 
 	nn.SoftUpdate(p.xT, p.x, p.cfg.Tau)
 	nn.SoftUpdate(p.qT, p.qn, p.cfg.Tau)
+}
+
+// targetValues fills p.ys with the TD targets y = r + γ·max_b Q_T of
+// Equation (22) for the whole minibatch: all non-terminal next states
+// evaluate in one target-network forward pair. The target networks share
+// no state with the online ones, so hoisting their forwards ahead of the
+// update loop moves only independent reads, and each row equals the
+// one-state forward of that transition bit for bit.
+func (p *PDQN) targetValues(batch []Transition) []float64 {
+	p.ys = growFloats(p.ys, len(batch))
+	ys := p.ys
+	p.nextStates = p.nextStates[:0]
+	for _, tr := range batch {
+		if !tr.Done {
+			p.nextStates = append(p.nextStates, tr.Next)
+		}
+	}
+	var qN *tensor.Matrix
+	if len(p.nextStates) > 0 {
+		qN = p.qT.Forward(p.nextStates, p.xT.Forward(p.nextStates))
+	}
+	row := 0
+	for k, tr := range batch {
+		y := tr.Reward
+		if !tr.Done {
+			best := qN.ArgmaxRow(row)
+			y += p.cfg.Gamma * qN.At(row, best)
+			row++
+		}
+		ys[k] = y
+	}
+	return ys
+}
+
+// BatchAgent is an agent that can select greedy actions for several
+// environments in one batched forward pass.
+type BatchAgent interface {
+	Agent
+	// SelectActionBatch writes the greedy action for states[i] into
+	// out[i]. No exploration, no rng consumption.
+	SelectActionBatch(states [][]float64, out []Action)
+}
+
+// SelectActionBatch implements BatchAgent: the greedy policy of
+// Act(state, false) evaluated for all states in one x forward and one Q
+// forward. Row i of the result is bit-identical to the greedy Act on
+// states[i] — the networks are row-independent — and no rng is consumed,
+// so interleaving batched and single selection cannot perturb a seeded
+// run.
+//
+// The returned Action.Raw slices alias one agent-owned arena and stay
+// valid until the next SelectActionBatch call (Act uses a separate buffer
+// and replay Push deep-copies, so the usual hot-path reuse rules apply).
+func (p *PDQN) SelectActionBatch(states [][]float64, out []Action) {
+	if len(out) < len(states) {
+		panic("rl: SelectActionBatch out shorter than states")
+	}
+	p.batchRaw = growFloats(p.batchRaw, len(states)*NumBehaviors)
+	xout := p.x.Forward(states)
+	copy(p.batchRaw, xout.Data)
+	rawView := viewInto(&p.batchRawMat, len(states), NumBehaviors, p.batchRaw)
+	qv := p.qn.Forward(states, rawView)
+	for i := range states {
+		b := qv.ArgmaxRow(i)
+		raw := p.batchRaw[i*NumBehaviors : (i+1)*NumBehaviors]
+		out[i] = Action{B: b, A: raw[b], Raw: raw}
+	}
 }

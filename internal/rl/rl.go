@@ -179,45 +179,6 @@ func (r *Replay) SampleInto(dst []Transition, n int, rng *rand.Rand) []Transitio
 	return dst
 }
 
-// SampleIndicesInto draws n uniform ring indices (with replacement) into
-// dst, grown as needed. It consumes exactly the rng draws SampleInto would
-// — one Intn per index — so a caller that splits sampling into an index
-// draw plus a GatherInto sees the same deterministic rng stream as one
-// that calls SampleInto directly. This split is what lets the replay
-// prefetch pipeline keep the rng on the caller's goroutine: the background
-// stage only copies, it never draws.
-func (r *Replay) SampleIndicesInto(dst []int, n int, rng *rand.Rand) []int {
-	if cap(dst) < n {
-		dst = make([]int, n)
-	} else {
-		dst = dst[:n]
-	}
-	m := r.Len()
-	for i := range dst {
-		dst[i] = rng.Intn(m)
-	}
-	return dst
-}
-
-// GatherInto deep-copies the transitions at idxs into dst, reusing dst's
-// slot storage so a warmed-up buffer stops allocating. Unlike SampleInto's
-// aliasing result, the gathered batch is owned by the caller and stays
-// valid across subsequent Pushes. The ring must not be pushed to while a
-// gather is in flight on another goroutine.
-func (r *Replay) GatherInto(dst []Transition, idxs []int) []Transition {
-	if cap(dst) < len(idxs) {
-		nd := make([]Transition, len(idxs))
-		copy(nd, dst[:cap(dst)])
-		dst = nd
-	} else {
-		dst = dst[:len(idxs)]
-	}
-	for i, idx := range idxs {
-		copyTransition(&dst[i], r.buf[idx])
-	}
-	return dst
-}
-
 // EpsSchedule is a linear ε-greedy exploration schedule.
 type EpsSchedule struct {
 	Start, End float64

@@ -138,7 +138,7 @@ func TestBranchedXBounds(t *testing.T) {
 	for i := range state {
 		state[i] = rng.Float64()*20 - 10
 	}
-	out := x.Forward(state)
+	out := x.Forward([][]float64{state})
 	if out.Rows != 1 || out.Cols != NumBehaviors {
 		t.Fatalf("x output shape %dx%d", out.Rows, out.Cols)
 	}
@@ -154,7 +154,7 @@ func TestSharedXBounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	x := NewSharedX(spec, 16, 3, rng)
 	state := make([]float64, spec.Dim())
-	out := x.Forward(state)
+	out := x.Forward([][]float64{state})
 	for _, v := range out.Data {
 		if v < -3 || v > 3 {
 			t.Errorf("acceleration %g outside ±3", v)
@@ -171,7 +171,7 @@ func TestQNetShapesAndBackward(t *testing.T) {
 			state[i] = rng.Float64() - 0.5
 		}
 		xout := tensor.FromSlice(1, NumBehaviors, []float64{1, -1, 0})
-		qv := q.Forward(state, xout)
+		qv := q.Forward([][]float64{state}, xout)
 		if qv.Rows != 1 || qv.Cols != NumBehaviors {
 			t.Fatalf("Q output shape %dx%d", qv.Rows, qv.Cols)
 		}
@@ -195,9 +195,9 @@ func TestBranchedQGradientWrtXout(t *testing.T) {
 	}
 	xout := tensor.FromSlice(1, NumBehaviors, []float64{0.5, -0.2, 1.1})
 	sum := func() float64 {
-		return tensor.Sum(q.Forward(state, xout))
+		return tensor.Sum(q.Forward([][]float64{state}, xout))
 	}
-	q.Forward(state, xout)
+	q.Forward([][]float64{state}, xout)
 	d := tensor.New(1, NumBehaviors)
 	d.Fill(1)
 	dx := q.Backward(d)

@@ -113,12 +113,6 @@ type Instrumentation struct {
 	// span.Traceable are attached to it for the duration of the run. Like
 	// the other sinks it is strictly out of band.
 	Trace *span.Lane
-	// BatchEnvs > 1 enables the agent's out-of-band batch mechanisms for
-	// the run (BatchConfigurable: batched target-network evaluation and the
-	// replay prefetch pipeline). Like the sinks it never changes results —
-	// checkpoints are bit-identical for every value, which the rl batch
-	// tests and the experiments golden test gate.
-	BatchEnvs int
 }
 
 // episodeRewardBuckets span the per-episode total rewards seen across the
@@ -137,14 +131,6 @@ func TrainObserved(agent Agent, env Env, episodes, maxSteps int, ins Instrumenta
 	start := time.Now()
 	var res TrainResult
 	observed := ins.Metrics != nil || ins.Progress != nil || ins.OnEpisode != nil
-	if ins.BatchEnvs > 1 {
-		if bc, ok := agent.(BatchConfigurable); ok {
-			bc.SetBatchEnvs(ins.BatchEnvs)
-			// Returning the agent to serial width also tears down the
-			// prefetch pipeline (no goroutine outlives the run).
-			defer bc.SetBatchEnvs(1)
-		}
-	}
 	if ins.Trace != nil {
 		if t, ok := agent.(span.Traceable); ok {
 			t.SetTrace(ins.Trace)

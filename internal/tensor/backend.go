@@ -15,10 +15,9 @@ import (
 //
 // Two backends ship:
 //
-//   - F64 replays today's float64 kernels. Serial methods reproduce the
-//     legacy kernel sequences exactly and batch methods use the dot-kernel
-//     family against cached transposes — both bit-identical to the
-//     pre-backend code, pinned by the golden tests.
+//   - F64 runs the float64 dot-kernel family against cached transposes,
+//     bit-identical to the legacy MatMulInto kernel sequences (and so to
+//     the pre-backend code), pinned by the golden tests.
 //   - F32 stages activations to float32, computes with the blocked f32 dot
 //     kernels in into32.go against cached f32 weight mirrors, and widens
 //     results back to float64 (exactly — every float32 is representable).
@@ -35,18 +34,14 @@ type Backend interface {
 	// config hashes: "f64" or "f32".
 	Name() string
 
-	// MatMul writes a·w into dst — the serial product (GAT per-step path).
+	// MatMul writes a·w into dst (the GAT node transforms). Every product
+	// below is row-independent, so one call over N stacked rows equals N
+	// one-row calls bit for bit.
 	MatMul(ws *Workspace, dst, a *Matrix, w *Weights)
-	// MatMulAddBias writes a·w + bias into dst — the serial Linear forward.
+	// MatMulAddBias writes a·w + bias into dst — the Linear forward.
 	MatMulAddBias(ws *Workspace, dst, a *Matrix, w, bias *Weights)
-	// LSTMPreact writes x·wx + h·wh + bias into z — one serial LSTM step.
+	// LSTMPreact writes x·wx + h·wh + bias into z — one LSTM step.
 	LSTMPreact(ws *Workspace, z, x *Matrix, wx *Weights, h *Matrix, wh, bias *Weights)
-
-	// BatchMatMul, BatchMatMulAddBias and BatchLSTMPreact are the batched
-	// (dot-kernel) counterparts, used by the ForwardBatch paths.
-	BatchMatMul(ws *Workspace, dst, a *Matrix, w *Weights)
-	BatchMatMulAddBias(ws *Workspace, dst, a *Matrix, w, bias *Weights)
-	BatchLSTMPreact(ws *Workspace, z, x *Matrix, wx *Weights, h *Matrix, wh, bias *Weights)
 
 	// Tanh writes the element-wise tanh of a into dst at the backend's
 	// precision. dst may alias a.
@@ -106,40 +101,20 @@ type f64Backend struct{ layoutOps }
 
 func (f64Backend) Name() string { return "f64" }
 
+// The f64 products run the dot kernels against the cached transposes. Per
+// element each keeps MatMulInto's ascending-k accumulation from +0, and
+// LSTMPreact keeps x·wx and h·wh in separate accumulators added once before
+// the bias, so the floats equal the legacy MatMulInto + AddInPlace + bias
+// sequence (TestBackendF64BitIdentity).
 func (f64Backend) MatMul(ws *Workspace, dst, a *Matrix, w *Weights) {
-	MatMulInto(dst, a, w.Mat())
-}
-
-func (f64Backend) MatMulAddBias(ws *Workspace, dst, a *Matrix, w, bias *Weights) {
-	MatMulAddBiasInto(dst, a, w.Mat(), bias.Mat())
-}
-
-// LSTMPreact replays the legacy serial step exactly: two strided products
-// into separate accumulators, an element add, then the broadcast bias —
-// the same kernel sequence (and therefore the same floats) as before the
-// backend seam existed.
-func (f64Backend) LSTMPreact(ws *Workspace, z, x *Matrix, wx *Weights, h *Matrix, wh, bias *Weights) {
-	MatMulInto(z, x, wx.Mat())
-	zh := ws.Get(h.Rows, wh.Mat().Cols)
-	MatMulInto(zh, h, wh.Mat())
-	AddInPlace(z, zh)
-	for i := 0; i < z.Rows; i++ {
-		row := z.Row(i)
-		for j, bv := range bias.Mat().Data {
-			row[j] += bv
-		}
-	}
-}
-
-func (f64Backend) BatchMatMul(ws *Workspace, dst, a *Matrix, w *Weights) {
 	MatMulDotInto(dst, a, w.T())
 }
 
-func (f64Backend) BatchMatMulAddBias(ws *Workspace, dst, a *Matrix, w, bias *Weights) {
+func (f64Backend) MatMulAddBias(ws *Workspace, dst, a *Matrix, w, bias *Weights) {
 	MatMulAddBiasDotInto(dst, a, w.T(), bias.Mat())
 }
 
-func (f64Backend) BatchLSTMPreact(ws *Workspace, z, x *Matrix, wx *Weights, h *Matrix, wh, bias *Weights) {
+func (f64Backend) LSTMPreact(ws *Workspace, z, x *Matrix, wx *Weights, h *Matrix, wh, bias *Weights) {
 	MatMulDualAddBiasDotInto(z, x, wx.T(), h, wh.T(), bias.Mat())
 }
 
@@ -178,20 +153,6 @@ func (f32Backend) LSTMPreact(ws *Workspace, z, x *Matrix, wx *Weights, h *Matrix
 	z32 := ws.Get32(z.Rows, z.Cols)
 	MatMulDualAddBiasDot32Into(z32, x32, wx.T32(), h32, wh.T32(), bias.M32())
 	Widen(z, z32)
-}
-
-// The f32 batch methods are the serial methods: the dot kernels already
-// are the batched form, and staging cost is linear either way.
-func (b f32Backend) BatchMatMul(ws *Workspace, dst, a *Matrix, w *Weights) {
-	b.MatMul(ws, dst, a, w)
-}
-
-func (b f32Backend) BatchMatMulAddBias(ws *Workspace, dst, a *Matrix, w, bias *Weights) {
-	b.MatMulAddBias(ws, dst, a, w, bias)
-}
-
-func (b f32Backend) BatchLSTMPreact(ws *Workspace, z, x *Matrix, wx *Weights, h *Matrix, wh, bias *Weights) {
-	b.LSTMPreact(ws, z, x, wx, h, wh, bias)
 }
 
 // Tanh narrows each input to float32, evaluates tanh, and rounds the

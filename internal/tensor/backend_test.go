@@ -60,20 +60,8 @@ func TestBackendF64BitIdentity(t *testing.T) {
 			t.Fatalf("trial %d: F64.MatMulAddBias diverges from MatMulAddBiasInto", trial)
 		}
 
-		F64.BatchMatMul(&ws, got, x, w)
-		MatMulInto(want, x, wMat)
-		if !bitsEqual(got, want) {
-			t.Fatalf("trial %d: F64.BatchMatMul diverges from MatMulInto", trial)
-		}
-
-		F64.BatchMatMulAddBias(&ws, got, x, w, b)
-		MatMulAddBiasInto(want, x, wMat, bMat)
-		if !bitsEqual(got, want) {
-			t.Fatalf("trial %d: F64.BatchMatMulAddBias diverges from MatMulAddBiasInto", trial)
-		}
-
-		// LSTM pre-activation: serial and batch forms against the legacy
-		// MatMulInto + AddInPlace + bias sequence.
+		// LSTM pre-activation against the legacy MatMulInto + AddInPlace +
+		// bias sequence.
 		h := randMat(rng, r, k)
 		whMat := randMat(rng, k, c)
 		wh := NewWeights(whMat)
@@ -94,10 +82,6 @@ func TestBackendF64BitIdentity(t *testing.T) {
 		if !bitsEqual(gotZ, wantZ) {
 			t.Fatalf("trial %d: F64.LSTMPreact diverges from legacy step sequence", trial)
 		}
-		F64.BatchLSTMPreact(&ws, gotZ, x, w, h, wh, b)
-		if !bitsEqual(gotZ, wantZ) {
-			t.Fatalf("trial %d: F64.BatchLSTMPreact diverges from legacy step sequence", trial)
-		}
 
 		F64.Tanh(got, wantZ)
 		TanhInto(want, wantZ)
@@ -108,8 +92,7 @@ func TestBackendF64BitIdentity(t *testing.T) {
 }
 
 // TestBackendF32Tolerance checks the f32 backend tracks the f64 results to
-// float32-level relative error on well-conditioned inputs, and that its
-// serial/batch/parallel variants agree with each other bit-for-bit.
+// float32-level relative error on well-conditioned inputs.
 func TestBackendF32Tolerance(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	var ws Workspace
@@ -146,12 +129,6 @@ func TestBackendF32Tolerance(t *testing.T) {
 		F32.MatMulAddBias(&ws, f32out, x, w, b)
 		if e := relErr(f32out, f64out); e > rtol {
 			t.Fatalf("trial %d: f32 MatMulAddBias rel err %g > %g", trial, e, rtol)
-		}
-
-		batch := New(r, c)
-		F32.BatchMatMulAddBias(&ws, batch, x, w, b)
-		if !bitsEqual(batch, f32out) {
-			t.Fatalf("trial %d: f32 serial and batch MatMulAddBias disagree", trial)
 		}
 	}
 }

@@ -2,199 +2,32 @@ package tensor
 
 import "fmt"
 
-// This file holds the row-blocked variants of the MatMul*Into kernels,
-// used by the batched execution engine (internal/batch and the *Batch
-// forwards in internal/nn). They trade the streaming
-// read-modify-write of MatMulInto's inner loop for a small block of local
-// accumulators that the compiler keeps in registers, storing each dst
-// element exactly once.
+// This file holds the dot-kernel family, the only forward matmuls of the
+// f64 backend (tensor.F64). Each takes the weight operand pre-transposed
+// (bt is bᵀ, served by Weights.T), so every dst element is a dot product of
+// two contiguous rows and the inner loops stream sequentially through
+// memory. Column blocks of six (then four) register accumulators are the
+// outer loop, so a block's weight rows stay L1-hot across all batch rows,
+// and each dst element is stored exactly once.
 //
 // # Bit-identity invariant
 //
 // Tiling is over rows and columns of dst only — NEVER over the k
 // accumulation axis. Every dst element still receives its products in
-// ascending-k order from a +0 start, exactly like MatMulInto, so a blocked
-// product is bit-identical to the serial kernel for any block size. The
-// property tests in blocked_test.go gate this for random shapes.
+// ascending-k order from a +0 start, exactly like MatMulInto, so a dot
+// kernel is bit-identical to MatMulInto (the test oracle) for every shape,
+// and one call over N stacked rows equals N one-row calls. The property
+// tests in blocked_test.go gate this for random and edge shapes.
 
-// blockedRowsInto computes every row of a·b with the register-tiled
-// kernel. Shapes must already be validated by the caller.
-func blockedRowsInto(dst, a, b *Matrix) {
-	k, c := a.Cols, b.Cols
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Row(i)
-		orow := dst.Row(i)
-		blockedRowInto(orow, arow, b, k, c)
-	}
-}
-
-// blockedRowInto computes one dst row: orow[j] = Σ_k arow[k]·b[k][j], with
-// column blocks of eight register accumulators. Per element the k loop is
-// complete and ascending from +0 — the MatMulInto accumulation order.
-func blockedRowInto(orow, arow []float64, b *Matrix, k, c int) {
-	bd := b.Data
-	arow = arow[:k]
-	j := 0
-	for ; j+8 <= c; j += 8 {
-		var s0, s1, s2, s3, s4, s5, s6, s7 float64
-		bi := j
-		for _, av := range arow {
-			p := (*[8]float64)(bd[bi:])
-			s0 += av * p[0]
-			s1 += av * p[1]
-			s2 += av * p[2]
-			s3 += av * p[3]
-			s4 += av * p[4]
-			s5 += av * p[5]
-			s6 += av * p[6]
-			s7 += av * p[7]
-			bi += c
-		}
-		o := (*[8]float64)(orow[j:])
-		o[0], o[1], o[2], o[3] = s0, s1, s2, s3
-		o[4], o[5], o[6], o[7] = s4, s5, s6, s7
-	}
-	for ; j+4 <= c; j += 4 {
-		var s0, s1, s2, s3 float64
-		bi := j
-		for _, av := range arow {
-			p := (*[4]float64)(bd[bi:])
-			s0 += av * p[0]
-			s1 += av * p[1]
-			s2 += av * p[2]
-			s3 += av * p[3]
-			bi += c
-		}
-		o := (*[4]float64)(orow[j:])
-		o[0], o[1], o[2], o[3] = s0, s1, s2, s3
-	}
-	for ; j < c; j++ {
-		var s float64
-		bi := j
-		for _, av := range arow {
-			s += av * bd[bi]
-			bi += c
-		}
-		orow[j] = s
-	}
-}
-
-// MatMulBlockedInto writes a·b into dst with the register-tiled kernel.
-// Shapes, aliasing rules, and the result are exactly those of MatMulInto;
-// only the dst traffic differs (one store per element instead of one
-// read-modify-write per product).
-func MatMulBlockedInto(dst, a, b *Matrix) {
-	if a.Cols != b.Rows {
-		panic(fmt.Sprintf("tensor: MatMulBlockedInto inner mismatch %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	checkShape("MatMulBlockedInto", dst, a.Rows, b.Cols)
-	noAlias("MatMulBlockedInto", dst, a)
-	noAlias("MatMulBlockedInto", dst, b)
-	blockedRowsInto(dst, a, b)
-}
-
-// MatMulAddBiasBlockedInto writes a·b + bias into dst, bit-identical to
-// MatMulAddBiasInto: every element receives its complete k-sum first and
-// the broadcast bias is added once afterwards.
-func MatMulAddBiasBlockedInto(dst, a, b, bias *Matrix) {
-	if bias.Rows != 1 || bias.Cols != b.Cols {
-		panic(fmt.Sprintf("tensor: MatMulAddBiasBlockedInto bias shape %dx%d, want 1x%d", bias.Rows, bias.Cols, b.Cols))
-	}
-	MatMulBlockedInto(dst, a, b)
-	for i := 0; i < dst.Rows; i++ {
-		row := dst.Row(i)
-		for j, bv := range bias.Data {
-			row[j] += bv
-		}
-	}
-}
-
-// MatMulDualAddBiasBlockedInto writes a1·b1 + a2·b2 + bias into dst in one
-// pass — the fused LSTM pre-activation z = x·Wx + h·Wh + b. Bit-identical
-// to MatMulInto(z, a1, b1); MatMulInto(zh, a2, b2); AddInPlace(z, zh); plus
-// a broadcast bias add: each product keeps its own ascending-k accumulator
-// from a +0 start and the three terms are added left to right exactly once
-// per element. dst must not alias any input.
-func MatMulDualAddBiasBlockedInto(dst, a1, b1, a2, b2, bias *Matrix) {
-	if a1.Cols != b1.Rows || a2.Cols != b2.Rows {
-		panic(fmt.Sprintf("tensor: MatMulDualAddBiasBlockedInto inner mismatch %dx%d · %dx%d + %dx%d · %dx%d",
-			a1.Rows, a1.Cols, b1.Rows, b1.Cols, a2.Rows, a2.Cols, b2.Rows, b2.Cols))
-	}
-	if a1.Rows != a2.Rows || b1.Cols != b2.Cols {
-		panic(fmt.Sprintf("tensor: MatMulDualAddBiasBlockedInto outer mismatch %dx%d vs %dx%d",
-			a1.Rows, b1.Cols, a2.Rows, b2.Cols))
-	}
-	if bias.Rows != 1 || bias.Cols != b1.Cols {
-		panic(fmt.Sprintf("tensor: MatMulDualAddBiasBlockedInto bias shape %dx%d, want 1x%d", bias.Rows, bias.Cols, b1.Cols))
-	}
-	checkShape("MatMulDualAddBiasBlockedInto", dst, a1.Rows, b1.Cols)
-	for _, src := range []*Matrix{a1, b1, a2, b2, bias} {
-		noAlias("MatMulDualAddBiasBlockedInto", dst, src)
-	}
-	k1, k2, c := a1.Cols, a2.Cols, b1.Cols
-	b1d, b2d, bd := b1.Data, b2.Data, bias.Data
-	for i := 0; i < a1.Rows; i++ {
-		a1row := a1.Row(i)[:k1]
-		a2row := a2.Row(i)[:k2]
-		orow := dst.Row(i)
-		j := 0
-		for ; j+4 <= c; j += 4 {
-			var s0, s1, s2, s3 float64
-			bi := j
-			for _, av := range a1row {
-				p := (*[4]float64)(b1d[bi:])
-				s0 += av * p[0]
-				s1 += av * p[1]
-				s2 += av * p[2]
-				s3 += av * p[3]
-				bi += c
-			}
-			var u0, u1, u2, u3 float64
-			bi = j
-			for _, av := range a2row {
-				p := (*[4]float64)(b2d[bi:])
-				u0 += av * p[0]
-				u1 += av * p[1]
-				u2 += av * p[2]
-				u3 += av * p[3]
-				bi += c
-			}
-			bp := (*[4]float64)(bd[j:])
-			o := (*[4]float64)(orow[j:])
-			o[0] = s0 + u0 + bp[0]
-			o[1] = s1 + u1 + bp[1]
-			o[2] = s2 + u2 + bp[2]
-			o[3] = s3 + u3 + bp[3]
-		}
-		for ; j < c; j++ {
-			var s, u float64
-			bi := j
-			for _, av := range a1row {
-				s += av * b1d[bi]
-				bi += c
-			}
-			bi = j
-			for _, av := range a2row {
-				u += av * b2d[bi]
-				bi += c
-			}
-			orow[j] = s + u + bd[j]
-		}
-	}
-}
-
-// MatMulDualAddBiasDotInto computes the same fused LSTM pre-activation as
-// MatMulDualAddBiasBlockedInto — dst = a1·b1 + a2·b2 + bias — but takes the
-// weight matrices pre-transposed (b1t is b1ᵀ, b2t is b2ᵀ). With b
-// transposed, each dst element is a dot product of two contiguous rows, so
-// the inner loops stream sequentially through memory instead of striding
-// b by its column count; on the LSTM batch shapes this roughly doubles the
-// kernel's throughput. Transposing is a pure data relayout — it changes
+// MatMulDualAddBiasDotInto computes the fused LSTM pre-activation
+// dst = a1·b1 + a2·b2 + bias with the weight matrices pre-transposed (b1t
+// is b1ᵀ, b2t is b2ᵀ). Transposing is a pure data relayout — it changes
 // which float is loaded when, never what is multiplied or in which order —
-// so the result stays bit-identical to the strided kernel and to the
-// serial MatMulInto sequence: per element, each product keeps its own
-// ascending-k accumulator from a +0 start and the three terms combine
-// left to right exactly once. dst must not alias any input.
+// so the result is bit-identical to the legacy sequence MatMulInto(z, a1,
+// b1); MatMulInto(zh, a2, b2); AddInPlace(z, zh); plus a broadcast bias
+// add: per element, each product keeps its own ascending-k accumulator
+// from a +0 start and the three terms combine left to right exactly once.
+// dst must not alias any input.
 func MatMulDualAddBiasDotInto(dst, a1, b1t, a2, b2t, bias *Matrix) {
 	if a1.Cols != b1t.Cols || a2.Cols != b2t.Cols {
 		panic(fmt.Sprintf("tensor: MatMulDualAddBiasDotInto inner mismatch %dx%d · (%dx%d)ᵀ + %dx%d · (%dx%d)ᵀ",
@@ -289,8 +122,7 @@ func MatMulDualAddBiasDotInto(dst, a1, b1t, a2, b2t, bias *Matrix) {
 
 // MatMulDotInto computes dst = a·b with the second operand pre-transposed
 // (bt is bᵀ): the bias-free member of the dot-kernel family, bit-identical
-// to MatMulInto and MatMulBlockedInto. See MatMulDualAddBiasDotInto for
-// the layout argument.
+// to MatMulInto.
 func MatMulDotInto(dst, a, bt *Matrix) {
 	if a.Cols != bt.Cols {
 		panic(fmt.Sprintf("tensor: MatMulDotInto inner mismatch %dx%d · (%dx%d)ᵀ", a.Rows, a.Cols, bt.Rows, bt.Cols))
@@ -360,8 +192,8 @@ func MatMulDotInto(dst, a, bt *Matrix) {
 // MatMulDualAddBiasDotInto. Same contract as MatMulAddBiasInto — complete
 // ascending-k sum per element, bias added once afterwards — and the same
 // loop nest as the dual kernel: column blocks outer so six weight rows
-// stay hot across all batch rows. Bit-identical to MatMulAddBiasInto and
-// its blocked variant for every shape.
+// stay hot across all batch rows. Bit-identical to MatMulAddBiasInto for
+// every shape.
 func MatMulAddBiasDotInto(dst, a, bt, bias *Matrix) {
 	if a.Cols != bt.Cols {
 		panic(fmt.Sprintf("tensor: MatMulAddBiasDotInto inner mismatch %dx%d · (%dx%d)ᵀ", a.Rows, a.Cols, bt.Rows, bt.Cols))

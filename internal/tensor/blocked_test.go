@@ -6,11 +6,12 @@ import (
 	"testing"
 )
 
-// TestBlockedBitIdentity is the contract test for the batched execution
-// engine's kernels: the register-tiled and dot-kernel matmul variants must
-// match MatMulInto bit-for-bit across random shapes (crossing the 8- and
-// 4-wide column-block boundaries), with dst pre-filled with garbage to
-// catch any assumption of a zeroed destination.
+// TestBlockedBitIdentity is the contract test for the dot-kernel family:
+// MatMulDotInto, MatMulAddBiasDotInto and MatMulDualAddBiasDotInto must
+// match the MatMulInto oracle bit-for-bit across random shapes and the
+// edge shapes listed below (one row; every column remainder of the 6- and
+// 4-wide blocks), with dst pre-filled with garbage to catch any assumption
+// of a zeroed destination.
 func TestBlockedBitIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	garbage := func(rows, cols int) *Matrix {
@@ -20,10 +21,18 @@ func TestBlockedBitIdentity(t *testing.T) {
 		}
 		return g
 	}
+	type shape struct{ r, k, c int }
+	var shapes []shape
 	for trial := 0; trial < 200; trial++ {
-		r := 1 + rng.Intn(25)
-		k := 1 + rng.Intn(13)
-		c := 1 + rng.Intn(21)
+		shapes = append(shapes, shape{1 + rng.Intn(25), 1 + rng.Intn(13), 1 + rng.Intn(21)})
+	}
+	// One row (a single decision) against every c mod 6 remainder, both
+	// below and above one full block.
+	for c := 1; c <= 17; c++ {
+		shapes = append(shapes, shape{1, 1 + rng.Intn(13), c}, shape{3, 1 + rng.Intn(13), c})
+	}
+	for n, sh := range shapes {
+		r, k, c := sh.r, sh.k, sh.c
 		a := randMat(rng, r, k)
 		b := randMat(rng, k, c)
 		bias := randMat(rng, 1, c)
@@ -31,22 +40,11 @@ func TestBlockedBitIdentity(t *testing.T) {
 		MatMulInto(want, a, b)
 		wantBias := New(r, c)
 		MatMulAddBiasInto(wantBias, a, b, bias)
-
-		got := garbage(r, c)
-		MatMulBlockedInto(got, a, b)
-		if !bitsEqual(want, got) {
-			t.Fatalf("trial %d: MatMulBlockedInto differs from MatMulInto for %dx%d·%dx%d", trial, r, k, k, c)
-		}
-		got = garbage(r, c)
-		MatMulAddBiasBlockedInto(got, a, b, bias)
-		if !bitsEqual(wantBias, got) {
-			t.Fatalf("trial %d: MatMulAddBiasBlockedInto differs from MatMulAddBiasInto for %dx%d·%dx%d", trial, r, k, k, c)
-		}
 		k2 := 1 + rng.Intn(13)
 		a2 := randMat(rng, r, k2)
 		b2 := randMat(rng, k2, c)
 		// Reference order: two independent full sums, added once, bias last
-		// — exactly the serial LSTM pre-activation sequence.
+		// — exactly the legacy LSTM pre-activation sequence.
 		zh := New(r, c)
 		MatMulInto(zh, a2, b2)
 		wantDual := New(r, c)
@@ -58,38 +56,31 @@ func TestBlockedBitIdentity(t *testing.T) {
 				row[j] += bv
 			}
 		}
-		got = garbage(r, c)
-		MatMulDualAddBiasBlockedInto(got, a, b, a2, b2, bias)
-		if !bitsEqual(wantDual, got) {
-			t.Fatalf("trial %d: MatMulDualAddBiasBlockedInto differs from the serial sequence for %dx%d·%dx%d + %dx%d·%dx%d",
-				trial, r, k, k, c, r, k2, k2, c)
-		}
-		// The transposed-weight dot kernel must agree too; transposing is a
-		// pure relayout, so the same reference applies.
+		// Transposing is a pure relayout, so the same reference applies.
 		bT := New(c, k)
 		TransposeInto(bT, b)
 		b2T := New(c, k2)
 		TransposeInto(b2T, b2)
-		got = garbage(r, c)
+		got := garbage(r, c)
 		MatMulDotInto(got, a, bT)
 		if !bitsEqual(want, got) {
-			t.Fatalf("trial %d: MatMulDotInto differs from MatMulInto for %dx%d·%dx%d", trial, r, k, k, c)
+			t.Fatalf("shape %d: MatMulDotInto differs from MatMulInto for %dx%d·%dx%d", n, r, k, k, c)
 		}
 		got = garbage(r, c)
 		MatMulAddBiasDotInto(got, a, bT, bias)
 		if !bitsEqual(wantBias, got) {
-			t.Fatalf("trial %d: MatMulAddBiasDotInto differs from MatMulAddBiasInto for %dx%d·%dx%d", trial, r, k, k, c)
+			t.Fatalf("shape %d: MatMulAddBiasDotInto differs from MatMulAddBiasInto for %dx%d·%dx%d", n, r, k, k, c)
 		}
 		got = garbage(r, c)
 		MatMulDualAddBiasDotInto(got, a, bT, a2, b2T, bias)
 		if !bitsEqual(wantDual, got) {
-			t.Fatalf("trial %d: MatMulDualAddBiasDotInto differs from the serial sequence for %dx%d·%dx%d + %dx%d·%dx%d",
-				trial, r, k, k, c, r, k2, k2, c)
+			t.Fatalf("shape %d: MatMulDualAddBiasDotInto differs from the legacy sequence for %dx%d·%dx%d + %dx%d·%dx%d",
+				n, r, k, k, c, r, k2, k2, c)
 		}
 	}
 }
 
-// TestBlockedNaNPropagation mirrors TestMatMulNaNPropagation: the blocked
+// TestBlockedNaNPropagation mirrors TestMatMulNaNPropagation: the dot
 // kernels must form every product, so a NaN operand against an explicit
 // zero still poisons the destination exactly like MatMulInto.
 func TestBlockedNaNPropagation(t *testing.T) {
@@ -98,9 +89,9 @@ func TestBlockedNaNPropagation(t *testing.T) {
 	want := New(1, 1)
 	MatMulInto(want, a, b)
 	got := New(1, 1)
-	MatMulBlockedInto(got, a, b)
+	MatMulDotInto(got, a, Transpose(b))
 	if !bitsEqual(want, got) {
-		t.Fatalf("MatMulBlockedInto NaN handling differs: want %v got %v", want.Data, got.Data)
+		t.Fatalf("MatMulDotInto NaN handling differs: want %v got %v", want.Data, got.Data)
 	}
 	if !math.IsNaN(got.At(0, 0)) {
 		t.Fatalf("0·NaN product was skipped: got %v", got.At(0, 0))
@@ -120,9 +111,12 @@ func TestBlockedShapeAndAliasPanics(t *testing.T) {
 		fn()
 	}
 	a := New(2, 3)
-	b := New(3, 4)
-	expectPanic("inner mismatch", func() { MatMulBlockedInto(New(2, 4), a, New(2, 4)) })
-	expectPanic("dst shape", func() { MatMulBlockedInto(New(3, 4), a, b) })
-	expectPanic("dst aliases a", func() { MatMulBlockedInto(a, a, b) })
-	expectPanic("bias shape", func() { MatMulAddBiasBlockedInto(New(2, 4), a, b, New(1, 3)) })
+	bt := New(4, 3) // bᵀ of a 3×4 b
+	expectPanic("inner mismatch", func() { MatMulDotInto(New(2, 4), a, New(4, 2)) })
+	expectPanic("dst shape", func() { MatMulDotInto(New(3, 4), a, bt) })
+	expectPanic("dst aliases a", func() { MatMulDotInto(a, a, New(3, 3)) })
+	expectPanic("bias shape", func() { MatMulAddBiasDotInto(New(2, 4), a, bt, New(1, 3)) })
+	expectPanic("dual outer mismatch", func() {
+		MatMulDualAddBiasDotInto(New(2, 4), a, bt, New(3, 3), New(4, 3), New(1, 4))
+	})
 }

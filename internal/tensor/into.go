@@ -137,6 +137,8 @@ func LeakyReLUInto(dst, a *Matrix, slope float64) {
 // MatMulInto writes the matrix product a·b into dst (a is r×k, b is k×c,
 // dst is r×c). dst must not alias a or b. Identical accumulation order to
 // MatMul: dst[i][j] sums a[i][k]·b[k][j] over ascending k from a +0 start.
+// No forward runs it: it is the oracle the dot kernels (blocked.go) and the
+// f64 backend are tested against.
 func MatMulInto(dst, a, b *Matrix) {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: MatMulInto inner mismatch %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
@@ -191,7 +193,7 @@ func MatMulSparseInto(dst, a, b *Matrix) {
 // broadcast over the rows of the product. Bit-identical to MatMulInto
 // followed by a broadcast add: each dst element receives its complete
 // k-sum first and the bias is added once afterwards. dst must not alias
-// a or b.
+// a or b. Like MatMulInto it is a test oracle.
 func MatMulAddBiasInto(dst, a, b, bias *Matrix) {
 	if bias.Rows != 1 || bias.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: MatMulAddBiasInto bias shape %dx%d, want 1x%d", bias.Rows, bias.Cols, b.Cols))
